@@ -2,33 +2,33 @@
 //!
 //! The serving layer coalesces client requests into a single SPMD run by
 //! exploiting exactly the property the thesis exploits — bitonic sort's
-//! cost per key falls as `n/P` grows. Each request's `u32` keys are
-//! lifted into `u64` words whose high half is the request's *tag* (its
-//! index in the batch) and whose low half is the key, bit-negated for
-//! descending requests. Sorting the combined words ascending therefore
-//! produces the batch's requests as contiguous segments in tag order,
-//! each segment internally in its requested order — one machine run,
-//! stable tag-partitioned output, no per-key headers.
+//! cost per key falls as `n/P` grows. Each request's keys are lifted
+//! into machine words whose high bits are the request's *tag* (its index
+//! in the batch), followed by the key, bit-negated for descending
+//! requests, and (for records) the key's index within its request.
+//! Sorting the combined words ascending therefore produces the batch's
+//! requests as contiguous segments in tag order, each segment internally
+//! in its requested order — one machine run, stable tag-partitioned
+//! output, no per-key headers. [`RecordWord`] defines the three word
+//! shapes and [`RecordBatch`] the batch codec; a plain `u32` sort is the
+//! key-only `u64` shape.
 //!
-//! Padding uses [`PAD`] (`u64::MAX`): tag `u32::MAX` is reserved — the
-//! word `(u32::MAX << 32) | u32::MAX` would *equal* the sentinel — so
-//! usable tags stop at [`MAX_TAG`] and a batch holds at most
-//! [`MAX_REQUESTS`] requests (strictly fewer than `2^32`). Within that
-//! bound every encodable word, even tag [`MAX_TAG`] carrying key
-//! `u32::MAX`, compares strictly below [`PAD`]; sentinels sink to the
-//! end and [`TaggedBatch::split`] never sees them. [`tag_for`] is the
-//! pure boundary check, [`TaggedBatch::push`] the enforcing caller.
+//! Padding uses each shape's all-ones `PAD`: tag `u32::MAX` is reserved
+//! — a word carrying it could *equal* the sentinel — so usable tags stop
+//! at [`MAX_TAG`] and a batch holds at most [`MAX_REQUESTS`] requests
+//! (strictly fewer than `2^32`). Within that bound every encodable word,
+//! even tag [`MAX_TAG`] carrying an all-ones key, compares strictly below
+//! `PAD`; sentinels sink to the end and [`RecordBatch::split`] never sees
+//! them. [`tag_for`] is the pure boundary check, [`RecordBatch::push`]
+//! the enforcing caller.
 
 use bitonic_network::Direction;
 use local_sorts::W192;
-
-/// The padding sentinel: sorts after every encoded word.
-pub const PAD: u64 = u64::MAX;
+use std::ops::Not;
 
 /// Largest usable request tag. Tag `u32::MAX` is reserved: combined
-/// with a key that munges to `u32::MAX` it would encode to exactly
-/// [`PAD`], and padding sentinels must sort *strictly* after every real
-/// word.
+/// with a key that munges to all-ones it would encode to exactly `PAD`,
+/// and padding sentinels must sort *strictly* after every real word.
 pub const MAX_TAG: u32 = u32::MAX - 1;
 
 /// Most requests one batch can hold: tags `0..=MAX_TAG`.
@@ -45,48 +45,26 @@ pub fn tag_for(index: usize) -> Option<u32> {
     Some(index as u32)
 }
 
-/// Lift one key of request `tag` into its batch word.
-///
-/// Descending requests negate the key so that the ascending batch sort
-/// leaves their segment in descending key order.
-///
-/// # Panics
-/// Panics if `tag` exceeds [`MAX_TAG`]: the reserved tag `u32::MAX`
-/// could collide with [`PAD`].
-#[must_use]
-pub fn encode_key(tag: u32, key: u32, dir: Direction) -> u64 {
-    assert!(tag <= MAX_TAG, "tag {tag} is reserved for the PAD sentinel");
-    let munged = match dir {
+/// The key as it sits in a word: descending requests negate it so that
+/// the ascending batch sort leaves their segment in descending order.
+/// Its own inverse.
+fn munge<K: Not<Output = K>>(key: K, dir: Direction) -> K {
+    match dir {
         Direction::Ascending => key,
         Direction::Descending => !key,
-    };
-    (u64::from(tag) << 32) | u64::from(munged)
-}
-
-/// Recover the key from a batch word (inverse of [`encode_key`]).
-#[must_use]
-pub fn decode_key(word: u64, dir: Direction) -> u32 {
-    let low = (word & 0xFFFF_FFFF) as u32;
-    match dir {
-        Direction::Ascending => low,
-        Direction::Descending => !low,
     }
 }
 
-/// The tag half of a batch word.
-#[must_use]
-pub fn tag_of(word: u64) -> u32 {
-    (word >> 32) as u32
+/// The tag check every encoder makes.
+fn usable(tag: u32) -> u32 {
+    assert!(tag <= MAX_TAG, "tag {tag} is reserved for the PAD sentinel");
+    tag
 }
 
-/// A coalesced batch of sort requests and the metadata to take it apart
-/// again.
+/// A batch of plain `u32` sort requests: a [`RecordBatch<u64>`] whose
+/// split hands back bare key vectors instead of [`RecordSegment`]s.
 #[derive(Debug, Default, Clone)]
-pub struct TaggedBatch {
-    words: Vec<u64>,
-    /// Per request, in tag order: key count and requested order.
-    requests: Vec<(usize, Direction)>,
-}
+pub struct TaggedBatch(RecordBatch<u64>);
 
 impl TaggedBatch {
     /// An empty batch.
@@ -95,71 +73,24 @@ impl TaggedBatch {
         TaggedBatch::default()
     }
 
-    /// Append a request, returning its tag.
-    ///
-    /// # Panics
-    /// Panics if the batch already holds [`MAX_REQUESTS`] requests —
-    /// the next tag would be the reserved `u32::MAX` (see [`tag_for`]).
-    pub fn push(&mut self, keys: &[u32], dir: Direction) -> u32 {
-        let tag = tag_for(self.requests.len())
-            .expect("too many requests in one batch: the next tag is reserved for PAD");
-        self.words
-            .extend(keys.iter().map(|&k| encode_key(tag, k, dir)));
-        self.requests.push((keys.len(), dir));
-        tag
-    }
-
-    /// Number of requests coalesced so far.
-    #[must_use]
-    pub fn requests(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Total keys across all requests (excluding padding).
-    #[must_use]
-    pub fn total_keys(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Whether no requests have been coalesced.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// The batch's words padded with [`PAD`] to a machine-runnable shape:
-    /// `per_rank * procs` total, `per_rank` a power of two (at least 2,
-    /// so every schedule has a local phase). Returns the padded words and
-    /// `per_rank`.
-    #[must_use]
-    pub fn padded_words(&self, procs: usize) -> (Vec<u64>, usize) {
-        let per_rank = self.words.len().div_ceil(procs).next_power_of_two().max(2);
-        let mut words = self.words.clone();
-        words.resize(per_rank * procs, PAD);
-        (words, per_rank)
-    }
-
-    /// Split the globally sorted batch back into per-request key vectors,
-    /// in tag order. `sorted` may carry trailing [`PAD`] sentinels; they
-    /// are ignored.
-    ///
-    /// # Panics
-    /// Panics (debug assertions) if a word lands under the wrong tag —
-    /// i.e. if `sorted` is not a sort of this batch's words.
+    /// [`RecordBatch::split`], keeping only each request's keys.
     #[must_use]
     pub fn split(&self, sorted: &[u64]) -> Vec<Vec<u32>> {
-        let mut out = Vec::with_capacity(self.requests.len());
-        let mut cursor = 0usize;
-        for (tag, &(len, dir)) in self.requests.iter().enumerate() {
-            let segment = &sorted[cursor..cursor + len];
-            debug_assert!(
-                segment.iter().all(|&w| tag_of(w) as usize == tag),
-                "segment words must carry their request's tag"
-            );
-            out.push(segment.iter().map(|&w| decode_key(w, dir)).collect());
-            cursor += len;
-        }
-        out
+        self.0.split(sorted).into_iter().map(|s| s.keys).collect()
+    }
+}
+
+impl std::ops::Deref for TaggedBatch {
+    type Target = RecordBatch<u64>;
+
+    fn deref(&self) -> &RecordBatch<u64> {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for TaggedBatch {
+    fn deref_mut(&mut self) -> &mut RecordBatch<u64> {
+        &mut self.0
     }
 }
 
@@ -176,59 +107,88 @@ pub fn sorted_independently(keys: &[u32], dir: Direction) -> Vec<u32> {
 }
 
 // ---------------------------------------------------------------------------
-// Records: (key, record-id) words for u32/u64/u128 keys.
+// Record words: (tag, key, record-id) for u32/u64/u128 keys.
 // ---------------------------------------------------------------------------
 
-/// A machine word carrying one *record*: a batch tag, a key, and the
-/// record's index within its request (`rid`).
+/// A machine word carrying one *record*: a batch tag, a key, and — in
+/// the shapes that have room — the record's index within its request
+/// (`rid`).
 ///
 /// The rid rides in the word's least significant bits, below the key, so
 /// an ascending sort of the words yields each request's records in
 /// *stable* key order — equal keys keep their input order (the oracle is
 /// a stable `sort_by_key`) — and the rid sequence read off the sorted
 /// segment **is** the payload permutation: reply payload row `i` is
-/// request payload row `perm[i]`. Two word shapes cover the three wire
-/// key widths:
+/// request payload row `perm[i]`. Three word shapes cover the wire key
+/// widths:
 ///
+/// * `u64` — `[tag:32][key:32]`, serving u32 keys without payload. It
+///   has no rid ([`RecordWord::RID`] is false): equal keys with nothing
+///   attached are indistinguishable, so there is no permutation to carry;
 /// * `u128` — `[tag:32][key:64][rid:32]`, serving u32 (zero-extended)
-///   and u64 keys;
+///   keys with payload and all u64 keys;
 /// * [`W192`] — `[tag:32][key:128][rid:32]`, serving u128 keys.
 ///
-/// Both munge descending keys by bitwise negation exactly like
-/// [`encode_key`]; the rid is never munged, so ties stay input-ordered
-/// under either direction. The all-ones `PAD` carries the reserved tag
-/// `u32::MAX`, so every word with a usable tag (`<= MAX_TAG`) sorts
-/// strictly below it regardless of key and rid.
+/// All munge descending keys by bitwise negation; the rid is never
+/// munged, so ties stay input-ordered under either direction. The
+/// all-ones `PAD` carries the reserved tag `u32::MAX`, so every word with
+/// a usable tag (`<= MAX_TAG`) sorts strictly below it regardless of key
+/// and rid.
 pub trait RecordWord: Copy + Ord + Send + Sync + 'static {
     /// The widest key this word carries (narrower keys zero-extend).
     type Key: Copy + Ord + Send + Sync + 'static;
     /// The padding sentinel: sorts strictly after every encoded word.
     const PAD: Self;
-    /// Lift `(tag, key, rid)` into a word (key munged for `dir`).
+    /// Whether the word carries the record id (see the trait docs).
+    const RID: bool;
+    /// Lift `(tag, key, rid)` into a word (key munged for `dir`). Shapes
+    /// without a rid field drop `rid`.
     ///
     /// # Panics
     /// Panics if `tag` exceeds [`MAX_TAG`] (reserved for `PAD`).
     fn encode(tag: u32, key: Self::Key, rid: u32, dir: Direction) -> Self;
     /// The tag field.
     fn tag(self) -> u32;
-    /// The record-id field.
+    /// The record-id field (0 in shapes without one).
     fn rid(self) -> u32;
     /// Recover the key (inverse of [`RecordWord::encode`] for `dir`).
     fn key(self, dir: Direction) -> Self::Key;
 }
 
+impl RecordWord for u64 {
+    type Key = u32;
+    const PAD: u64 = u64::MAX;
+    const RID: bool = false;
+
+    #[inline]
+    fn encode(tag: u32, key: u32, _rid: u32, dir: Direction) -> u64 {
+        (u64::from(usable(tag)) << 32) | u64::from(munge(key, dir))
+    }
+
+    #[inline]
+    fn tag(self) -> u32 {
+        (self >> 32) as u32
+    }
+
+    #[inline]
+    fn rid(self) -> u32 {
+        0
+    }
+
+    #[inline]
+    fn key(self, dir: Direction) -> u32 {
+        munge(self as u32, dir)
+    }
+}
+
 impl RecordWord for u128 {
     type Key = u64;
     const PAD: u128 = u128::MAX;
+    const RID: bool = true;
 
     #[inline]
     fn encode(tag: u32, key: u64, rid: u32, dir: Direction) -> u128 {
-        assert!(tag <= MAX_TAG, "tag {tag} is reserved for the PAD sentinel");
-        let munged = match dir {
-            Direction::Ascending => key,
-            Direction::Descending => !key,
-        };
-        (u128::from(tag) << 96) | (u128::from(munged) << 32) | u128::from(rid)
+        (u128::from(usable(tag)) << 96) | (u128::from(munge(key, dir)) << 32) | u128::from(rid)
     }
 
     #[inline]
@@ -243,27 +203,20 @@ impl RecordWord for u128 {
 
     #[inline]
     fn key(self, dir: Direction) -> u64 {
-        let munged = (self >> 32) as u64;
-        match dir {
-            Direction::Ascending => munged,
-            Direction::Descending => !munged,
-        }
+        munge((self >> 32) as u64, dir)
     }
 }
 
 impl RecordWord for W192 {
     type Key = u128;
     const PAD: W192 = W192::MAX;
+    const RID: bool = true;
 
     #[inline]
     fn encode(tag: u32, key: u128, rid: u32, dir: Direction) -> W192 {
-        assert!(tag <= MAX_TAG, "tag {tag} is reserved for the PAD sentinel");
-        let munged = match dir {
-            Direction::Ascending => key,
-            Direction::Descending => !key,
-        };
+        let munged = munge(key, dir);
         W192 {
-            hi: (u64::from(tag) << 32) | (munged >> 96) as u64,
+            hi: (u64::from(usable(tag)) << 32) | (munged >> 96) as u64,
             mid: (munged >> 32) as u64,
             lo: ((munged as u32 as u64) << 32) | u64::from(rid),
         }
@@ -284,17 +237,14 @@ impl RecordWord for W192 {
         let munged = (u128::from(self.hi & 0xFFFF_FFFF) << 96)
             | (u128::from(self.mid) << 32)
             | u128::from(self.lo >> 32);
-        match dir {
-            Direction::Ascending => munged,
-            Direction::Descending => !munged,
-        }
+        munge(munged, dir)
     }
 }
 
 /// One request's slice of a sorted record batch: the keys in the
 /// requested (stable) order, and the permutation that reorders the
 /// request's payload rows to match (`reply row i` ← `request row
-/// perm[i]`).
+/// perm[i]`). Word shapes without a rid leave `perm` empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordSegment<K> {
     /// The request's keys, sorted stably in its requested direction.
@@ -303,10 +253,10 @@ pub struct RecordSegment<K> {
     pub perm: Vec<u32>,
 }
 
-/// [`TaggedBatch`] for records: coalesces requests of `(key, rid)`
-/// words and splits the sorted run back into per-request
-/// [`RecordSegment`]s. Generic over the word shape — `RecordBatch<u128>`
-/// serves u32/u64 keys, `RecordBatch<W192>` serves u128 keys.
+/// A coalesced batch of requests and the metadata to take it apart
+/// again: encodes each request's keys as tagged words and splits the
+/// sorted run back into per-request [`RecordSegment`]s. Generic over the
+/// word shape (see [`RecordWord`] for which shape serves which request).
 #[derive(Debug, Clone)]
 pub struct RecordBatch<W: RecordWord> {
     words: Vec<W>,
@@ -372,7 +322,9 @@ impl<W: RecordWord> RecordBatch<W> {
     }
 
     /// The batch's words padded with `W::PAD` to a machine-runnable
-    /// shape, exactly as [`TaggedBatch::padded_words`].
+    /// shape: `per_rank * procs` total, `per_rank` a power of two (at
+    /// least 2, so every schedule has a local phase). Returns the padded
+    /// words and `per_rank`.
     #[must_use]
     pub fn padded_words(&self, procs: usize) -> (Vec<W>, usize) {
         let per_rank = self.words.len().div_ceil(procs).next_power_of_two().max(2);
@@ -399,7 +351,11 @@ impl<W: RecordWord> RecordBatch<W> {
             );
             out.push(RecordSegment {
                 keys: segment.iter().map(|&w| w.key(dir)).collect(),
-                perm: segment.iter().map(|&w| w.rid()).collect(),
+                perm: if W::RID {
+                    segment.iter().map(|&w| w.rid()).collect()
+                } else {
+                    Vec::new()
+                },
             });
             cursor += len;
         }
@@ -432,13 +388,20 @@ mod tests {
     use crate::local::LocalStrategy;
     use spmd::MessageMode;
 
+    /// The plain shape: a `u64` word around a `u32` key.
+    fn plain(tag: u32, key: u32, dir: Direction) -> u64 {
+        <u64 as RecordWord>::encode(tag, key, 0, dir)
+    }
+
+    const PAD: u64 = <u64 as RecordWord>::PAD;
+
     #[test]
     fn encode_decode_round_trips() {
         for dir in [Direction::Ascending, Direction::Descending] {
             for key in [0u32, 1, 7, u32::MAX - 1, u32::MAX] {
-                let w = encode_key(42, key, dir);
-                assert_eq!(tag_of(w), 42);
-                assert_eq!(decode_key(w, dir), key);
+                let w = plain(42, key, dir);
+                assert_eq!(w.tag(), 42);
+                assert_eq!(w.key(dir), key);
             }
         }
     }
@@ -450,21 +413,21 @@ mod tests {
         let keys = [5u32, 1, 9, 1, 0];
         let mut words: Vec<u64> = keys
             .iter()
-            .map(|&k| encode_key(3, k, Direction::Descending))
+            .map(|&k| plain(3, k, Direction::Descending))
             .collect();
         words.sort_unstable();
         let decoded: Vec<u32> = words
             .iter()
-            .map(|&w| decode_key(w, Direction::Descending))
+            .map(|&w| w.key(Direction::Descending))
             .collect();
         assert_eq!(decoded, vec![9, 5, 1, 1, 0]);
     }
 
     #[test]
     fn every_word_sorts_below_pad() {
-        let w = encode_key(u32::MAX - 2, u32::MAX, Direction::Ascending);
+        let w = plain(u32::MAX - 2, u32::MAX, Direction::Ascending);
         assert!(w < PAD);
-        let w = encode_key(u32::MAX - 2, 0, Direction::Descending);
+        let w = plain(u32::MAX - 2, 0, Direction::Descending);
         assert!(w < PAD);
     }
 
@@ -472,12 +435,12 @@ mod tests {
     fn the_very_last_usable_tag_still_sorts_below_pad() {
         // The worst encodable word: the largest usable tag carrying the
         // key that munges to all-ones. One short of the sentinel's tag.
-        let asc = encode_key(MAX_TAG, u32::MAX, Direction::Ascending);
-        let desc = encode_key(MAX_TAG, 0, Direction::Descending);
+        let asc = plain(MAX_TAG, u32::MAX, Direction::Ascending);
+        let desc = plain(MAX_TAG, 0, Direction::Descending);
         assert!(asc < PAD, "MAX_TAG + max key must stay below PAD");
         assert!(desc < PAD, "MAX_TAG + negated zero must stay below PAD");
-        assert_eq!(tag_of(asc), MAX_TAG);
-        assert_eq!(decode_key(asc, Direction::Ascending), u32::MAX);
+        assert_eq!(asc.tag(), MAX_TAG);
+        assert_eq!(asc.key(Direction::Ascending), u32::MAX);
     }
 
     #[test]
@@ -494,7 +457,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved for the PAD sentinel")]
     fn encoding_with_the_reserved_tag_is_rejected() {
-        let _ = encode_key(u32::MAX, 0, Direction::Ascending);
+        let _ = plain(u32::MAX, 0, Direction::Ascending);
     }
 
     #[test]

@@ -19,10 +19,15 @@
 //!
 //! The pieces:
 //!
-//! * [`TaggedBatch`](bitonic_core::tagged) (in `bitonic-core`) lifts each
-//!   request's `u32` keys into `u64` words tagged with the request index,
-//!   so one ascending machine sort yields every request's answer as a
-//!   contiguous segment;
+//! * [`RecordBatch`](bitonic_core::tagged::RecordBatch) (in
+//!   `bitonic-core`) lifts each request's keys into machine words tagged
+//!   with the request index, so one ascending machine sort yields every
+//!   request's answer as a contiguous segment. A plain `u32` sort is the
+//!   stride-0 record on a `u64` word; records with payload or wider keys
+//!   ride `u128` or 192-bit words that also carry each key's row, so
+//!   payload follows its key stably. Requests coalesce exactly when they
+//!   share a word shape, and `submit` and `submit_record` differ only in
+//!   the reply they hand back ([`Ticket`] or [`RecordTicket`]);
 //! * [`Coalescer`] decides *when to stop waiting for more requests*,
 //!   trading batch growth against deadline slack with `logp::predict` as
 //!   the cost model;
@@ -43,9 +48,10 @@
 //! * [`split`] lifts the shard layer from isolation to aggregate
 //!   capacity: a request beyond every band is cut by one oversampled
 //!   splitter-selection round into per-shard in-band sub-requests,
-//!   each rides the normal admission/coalesce/pool path, and a k-way
-//!   merge reassembles the ordered reply — any sub-request failure
-//!   fails the parent with a structured [`BulkFailure`];
+//!   each rides the normal admission/coalesce/pool path, and a stable
+//!   k-way merge reassembles the ordered reply — payload rows included,
+//!   for records at every width — and any sub-request failure fails the
+//!   parent with a structured [`BulkFailure`];
 //! * [`net`] puts the whole thing behind a real socket: the `SORT_1`
 //!   length-prefixed frame codec, a [`WireServer`] with per-connection
 //!   reader threads whose stalls become structured [`Disconnect`]s, a
@@ -85,4 +91,4 @@ pub use server::{
 pub use shard::{
     EngineEvent, ShardEngine, ShardStats, ShardedReport, ShardedService, ShardedStats,
 };
-pub use split::{BulkFailure, BulkReason, RecordPart, RecordSplitPlan, SplitPart, SplitPlan};
+pub use split::{BulkFailure, BulkReason, SplitPart, SplitPlan};

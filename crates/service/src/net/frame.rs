@@ -468,7 +468,7 @@ impl RequestFrame {
         let deadline_us = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
         let count = u32::from_le_bytes(payload[16..20].try_into().expect("4 bytes")) as usize;
         let body = &payload[REQUEST_HEADER..];
-        let key_len = count * usize::from(width);
+        let key_len = declared_len(count as u64, u64::from(width));
         let has_payload = flags & FLAG_PAYLOAD != 0;
         if !has_payload && body.len() != key_len {
             return Err(FrameError::CountMismatch {
@@ -476,10 +476,10 @@ impl RequestFrame {
                 body_bytes: body.len(),
             });
         }
-        if has_payload && body.len() < key_len + 4 {
+        if has_payload && body.len() < key_len.saturating_add(4) {
             // The keys (or the stride word itself) are cut short.
             return Err(FrameError::PayloadMismatch {
-                declared: key_len + 4,
+                declared: key_len.saturating_add(4),
                 body_bytes: body.len(),
             });
         }
@@ -487,9 +487,10 @@ impl RequestFrame {
             let stride =
                 u32::from_le_bytes(body[key_len..key_len + 4].try_into().expect("4 bytes"));
             let rows = &body[key_len + 4..];
-            if rows.len() != count * stride as usize {
+            let rows_len = declared_len(count as u64, u64::from(stride));
+            if rows.len() != rows_len {
                 return Err(FrameError::PayloadMismatch {
-                    declared: count * stride as usize,
+                    declared: rows_len,
                     body_bytes: rows.len(),
                 });
             }
@@ -712,7 +713,7 @@ impl ReplyFrame {
                 if width != 4 {
                     return Err(FrameError::BadWidth(width));
                 }
-                if body.len() != (a as usize) * 4 {
+                if body.len() != declared_len(a, 4) {
                     return Err(FrameError::CountMismatch {
                         declared: a as usize,
                         body_bytes: body.len(),
@@ -746,7 +747,7 @@ impl ReplyFrame {
                 deadline_us: b,
             },
             status::MACHINE_FAILED => {
-                if body.len() != a as usize {
+                if body.len() != declared_len(a, 1) {
                     return Err(FrameError::CountMismatch {
                         declared: a as usize,
                         body_bytes: body.len(),
@@ -757,7 +758,7 @@ impl ReplyFrame {
             status::SERVICE_CLOSED => ReplyFrame::ServiceClosed,
             status::BAD_FRAME => ReplyFrame::BadFrame(a.min(255) as u8),
             status::BULK_FAILED => {
-                if body.len() != b as usize {
+                if body.len() != declared_len(b, 1) {
                     return Err(FrameError::CountMismatch {
                         declared: b as usize,
                         body_bytes: body.len(),
@@ -772,15 +773,19 @@ impl ReplyFrame {
                 if !SORTABLE_WIDTHS.contains(&width) {
                     return Err(FrameError::BadWidth(width));
                 }
-                let count = a as usize;
-                let stride = b as usize;
-                let key_len = count * usize::from(width);
-                if body.len() != key_len + count * stride {
+                let row = b.saturating_add(u64::from(width));
+                let declared = if b > u64::from(u32::MAX) {
+                    usize::MAX
+                } else {
+                    declared_len(a, row)
+                };
+                if body.len() != declared {
                     return Err(FrameError::PayloadMismatch {
-                        declared: key_len + count * stride,
+                        declared,
                         body_bytes: body.len(),
                     });
                 }
+                let key_len = declared_len(a, u64::from(width));
                 let keys = match width {
                     4 => RecordKeys::U32(
                         body[..key_len]
@@ -804,12 +809,24 @@ impl ReplyFrame {
                 ReplyFrame::Record {
                     keys,
                     payload: body[key_len..].to_vec(),
-                    stride: b.min(u64::from(u32::MAX)) as u32,
+                    stride: b as u32,
                 }
             }
             other => return Err(FrameError::BadStatus(other)),
         })
     }
+}
+
+/// The body bytes a header declares: `count * unit`, or `usize::MAX`
+/// when that overflows. Every header-derived length goes through here,
+/// so a hostile header can never wrap around to match a real body: a
+/// body is bounded by its frame (at most `max_frame_bytes` at the
+/// server), far below `usize::MAX`.
+fn declared_len(count: u64, unit: u64) -> usize {
+    count
+        .checked_mul(unit)
+        .and_then(|n| usize::try_from(n).ok())
+        .unwrap_or(usize::MAX)
 }
 
 /// Parse one text request line — the stdin frontend's format — into the

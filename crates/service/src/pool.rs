@@ -17,6 +17,7 @@
 use crate::config::ServiceConfig;
 use crate::metrics::ClassMetrics;
 use bitonic_core::algorithms::smart_sort_ctx;
+use bitonic_core::tagged::RecordWord;
 use bitonic_core::{LocalStrategy, SortContext};
 use local_sorts::{RadixKey, W192};
 use spmd::fault::FaultStats;
@@ -24,15 +25,56 @@ use spmd::{MachineConfig, MachineFailure, SpmdMachine};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The machine type the pool manages: `u64` tagged words through ranks
-/// retaining a `SortContext`, each job returning its rank's sorted slice.
-pub type SortMachine = SpmdMachine<u64, SortContext<u64>, Vec<u64>>;
+/// The machine type the pool manages for word shape `W`: tagged words
+/// through ranks retaining a `SortContext`, each job returning its
+/// rank's sorted slice.
+pub type SortMachine<W = u64> = SpmdMachine<W, SortContext<W>, Vec<W>>;
 
-/// A record machine over 128-bit words (`[tag:32][key:64][rid:32]`).
-pub type Record128Machine = SpmdMachine<u128, SortContext<u128>, Vec<u128>>;
+/// A word shape the pool can sort, and where its machine lives: `u64`
+/// words (plain `u32` requests) on the autoscaled rotation, the wider
+/// record shapes on one lazily booted machine each outside it.
+pub trait PoolWord: RecordWord + RadixKey {
+    /// Whether this shape runs on the autoscaled rotation.
+    const ROTATED: bool;
+    /// The machine slot that runs this shape's next batch (advancing the
+    /// rotation for rotated shapes).
+    fn slot(machines: &mut Machines) -> &mut Option<SortMachine<Self>>;
+}
 
-/// A record machine over 192-bit words (`[tag:32][key:128][rid:32]`).
-pub type Record192Machine = SpmdMachine<W192, SortContext<W192>, Vec<W192>>;
+/// Every machine a [`WarmPool`] holds, by word shape. Rotation slots
+/// are always booted; the record slots boot on their first batch.
+pub struct Machines {
+    rotation: Vec<Option<SortMachine>>,
+    next: usize,
+    rec128: Option<SortMachine<u128>>,
+    rec192: Option<SortMachine<W192>>,
+}
+
+impl PoolWord for u64 {
+    const ROTATED: bool = true;
+
+    fn slot(m: &mut Machines) -> &mut Option<SortMachine> {
+        let idx = m.next;
+        m.next = (idx + 1) % m.rotation.len();
+        &mut m.rotation[idx]
+    }
+}
+
+impl PoolWord for u128 {
+    const ROTATED: bool = false;
+
+    fn slot(m: &mut Machines) -> &mut Option<SortMachine<u128>> {
+        &mut m.rec128
+    }
+}
+
+impl PoolWord for W192 {
+    const ROTATED: bool = false;
+
+    fn slot(m: &mut Machines) -> &mut Option<SortMachine<W192>> {
+        &mut m.rec192
+    }
+}
 
 /// What the pool has done so far.
 #[derive(Debug, Clone, Copy, Default)]
@@ -95,19 +137,16 @@ impl PoolStats {
     }
 }
 
-/// A rotation of warm [`SortMachine`]s, plus (lazily booted) one record
-/// machine per record word shape. The record machines sit outside the
-/// autoscaled rotation — they exist only once a record batch arrives,
-/// and like the rotation they retain their `SortContext` so record
-/// batch shapes warm the same remap plan cache. They are not counted in
-/// the `machines` gauge, which measures plain-lane capacity.
+/// A rotation of warm `u64` [`SortMachine`]s, plus (lazily booted) one
+/// record machine per wider word shape. The record machines sit outside
+/// the autoscaled rotation — they exist only once a batch of their shape
+/// arrives, and like the rotation they retain their `SortContext` so
+/// their batch shapes warm the same remap plan cache. They are not
+/// counted in the `machines` gauge, which measures rotation capacity.
 pub struct WarmPool {
     machine_config: MachineConfig,
     strategy: LocalStrategy,
-    machines: Vec<SortMachine>,
-    rec128: Option<Record128Machine>,
-    rec192: Option<Record192Machine>,
-    next: usize,
+    machines: Machines,
     stats: PoolStats,
     metrics: Option<Arc<ClassMetrics>>,
 }
@@ -115,7 +154,7 @@ pub struct WarmPool {
 impl std::fmt::Debug for WarmPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WarmPool")
-            .field("machines", &self.machines.len())
+            .field("machines", &self.machines())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -147,20 +186,20 @@ impl WarmPool {
                 .map_or(Duration::from_secs(5), |w| w * 4 + Duration::from_secs(1)),
             ..MachineConfig::new(cfg.procs)
         };
-        let machines: Vec<SortMachine> = (0..cfg.machines)
-            .map(|_| Self::boot_machine(machine_config))
-            .collect();
         let mut pool = WarmPool {
             machine_config,
             strategy: LocalStrategy::Merges,
-            machines,
-            rec128: None,
-            rec192: None,
-            next: 0,
+            machines: Machines {
+                rotation: (0..cfg.machines)
+                    .map(|_| Some(boot(machine_config)))
+                    .collect(),
+                next: 0,
+                rec128: None,
+                rec192: None,
+            },
             stats: PoolStats::default(),
             metrics: None,
         };
-        pool.stats.peak_machines = pool.machines.len() as u64;
         pool.sync_gauge();
         pool
     }
@@ -168,17 +207,17 @@ impl WarmPool {
     /// Hook this pool's per-batch harvest (plan cache, faults, kernels,
     /// machine gauge) into a live metrics class.
     pub(crate) fn set_metrics(&mut self, metrics: Arc<ClassMetrics>) {
-        metrics.pool_machines.set(self.machines.len() as f64);
+        metrics.pool_machines.set(self.machines() as f64);
         self.metrics = Some(metrics);
     }
 
     /// Stamp the current pool size into every machine's gauge so each
     /// job's per-rank `CommStats` records the capacity that served it.
     fn sync_gauge(&mut self) {
-        let n = self.machines.len() as u64;
+        let n = self.machines() as u64;
         self.stats.machines = n;
         self.stats.peak_machines = self.stats.peak_machines.max(n);
-        for m in &self.machines {
+        for m in self.machines.rotation.iter().flatten() {
             m.set_pool_machines(n);
         }
         if let Some(m) = &self.metrics {
@@ -189,7 +228,7 @@ impl WarmPool {
     /// Add one freshly booted machine to the rotation (autoscaler
     /// scale-up). Its caches start cold and warm on its first batches.
     pub fn grow(&mut self) {
-        self.machines.push(Self::boot_machine(self.machine_config));
+        self.machines.rotation.push(Some(boot(self.machine_config)));
         self.sync_gauge();
     }
 
@@ -197,25 +236,22 @@ impl WarmPool {
     /// one — a pool that scaled to zero could not serve the request that
     /// wakes it. Returns whether a machine was actually retired.
     pub fn shrink(&mut self) -> bool {
-        if self.machines.len() <= 1 {
+        let m = &mut self.machines;
+        if m.rotation.len() <= 1 {
             return false;
         }
-        self.machines.pop();
-        if self.next >= self.machines.len() {
-            self.next = 0;
+        m.rotation.pop();
+        if m.next >= m.rotation.len() {
+            m.next = 0;
         }
         self.sync_gauge();
         true
     }
 
-    fn boot_machine(config: MachineConfig) -> SortMachine {
-        SpmdMachine::boot(config, |_| SortContext::new())
-    }
-
     /// Machines currently in the rotation.
     #[must_use]
     pub fn machines(&self) -> usize {
-        self.machines.len()
+        self.machines.rotation.len()
     }
 
     /// The pool's counters.
@@ -225,33 +261,48 @@ impl WarmPool {
     }
 
     /// Sort `words` (already padded to `per_rank * procs`, see
-    /// [`bitonic_core::tagged::TaggedBatch::padded_words`]) on the next
-    /// machine in the rotation, returning the globally ascending words.
+    /// [`bitonic_core::tagged::RecordBatch::padded_words`]) on the
+    /// machine for their shape — the next in the rotation for `u64`,
+    /// the shape's own machine otherwise — returning the globally
+    /// ascending words.
     ///
-    /// On failure the broken machine is replaced with a fresh one and the
-    /// failure returned; the pool remains usable.
+    /// On failure the broken machine is dropped and the failure
+    /// returned; the pool remains usable. A rotation slot is rebooted at
+    /// once, a record slot on its next batch.
     ///
     /// # Errors
     /// The [`MachineFailure`] that broke the batch.
     ///
     /// # Panics
     /// Panics if `words.len() != per_rank * procs`.
-    pub fn run_batch(
+    pub fn run_batch<W: PoolWord>(
         &mut self,
-        words: Vec<u64>,
+        words: Vec<W>,
         per_rank: usize,
-    ) -> Result<Vec<u64>, MachineFailure> {
-        let procs = self.machine_config.procs;
+    ) -> Result<Vec<W>, MachineFailure> {
+        let (config, strategy) = (self.machine_config, self.strategy);
+        let procs = config.procs;
         assert_eq!(words.len(), per_rank * procs, "batch must be padded");
-        let idx = self.next;
-        self.next = (self.next + 1) % self.machines.len();
+        let gauge = self.machines() as u64;
+        // Rotation machines carry the pool gauge; record machines do not.
+        let boot_slot = move || {
+            let m = boot(config);
+            if W::ROTATED {
+                m.set_pool_machines(gauge);
+            }
+            m
+        };
+        let slot = W::slot(&mut self.machines);
         let words = Arc::new(words);
-        let strategy = self.strategy;
-        let result = self.machines[idx].run(move |comm, ctx| {
+        let result = slot.get_or_insert_with(boot_slot).run(move |comm, ctx| {
             let me = comm.rank();
             let local = words[me * per_rank..(me + 1) * per_rank].to_vec();
             smart_sort_ctx(comm, local, strategy, ctx)
         });
+        if result.is_err() {
+            *slot = W::ROTATED.then(boot_slot);
+        }
+        let metrics = self.metrics.as_deref();
         match result {
             Ok(ranks) => {
                 self.stats.batches_run += 1;
@@ -262,7 +313,7 @@ impl WarmPool {
                     self.stats.plan_misses += r.stats.plan_misses;
                     self.stats.faults.sum_merge(&r.stats.faults);
                     batch_misses += r.stats.plan_misses;
-                    if let Some(m) = &self.metrics {
+                    if let Some(m) = metrics {
                         m.record_rank_stats(&r.stats);
                     }
                     out.extend_from_slice(&r.output);
@@ -273,119 +324,17 @@ impl WarmPool {
             Err(failure) => {
                 self.stats.batches_failed += 1;
                 self.stats.machines_rebuilt += 1;
-                if let Some(m) = &self.metrics {
+                if let Some(m) = metrics {
                     m.machines_rebuilt.inc();
                 }
-                self.machines[idx] = Self::boot_machine(self.machine_config);
-                self.machines[idx].set_pool_machines(self.machines.len() as u64);
                 Err(failure)
             }
         }
     }
-
-    /// Sort 128-bit record words (u32/u64 keys) on the pool's lazily
-    /// booted record machine; same padding contract and failure policy
-    /// as [`WarmPool::run_batch`].
-    ///
-    /// # Errors
-    /// The [`MachineFailure`] that broke the batch.
-    ///
-    /// # Panics
-    /// Panics if `words.len() != per_rank * procs`.
-    pub fn run_record128_batch(
-        &mut self,
-        words: Vec<u128>,
-        per_rank: usize,
-    ) -> Result<Vec<u128>, MachineFailure> {
-        let metrics = self.metrics.clone();
-        run_record_words(
-            &mut self.rec128,
-            self.machine_config,
-            self.strategy,
-            &mut self.stats,
-            metrics.as_deref(),
-            words,
-            per_rank,
-        )
-    }
-
-    /// Sort 192-bit record words (u128 keys) on the pool's lazily
-    /// booted record machine; same padding contract and failure policy
-    /// as [`WarmPool::run_batch`].
-    ///
-    /// # Errors
-    /// The [`MachineFailure`] that broke the batch.
-    ///
-    /// # Panics
-    /// Panics if `words.len() != per_rank * procs`.
-    pub fn run_record192_batch(
-        &mut self,
-        words: Vec<W192>,
-        per_rank: usize,
-    ) -> Result<Vec<W192>, MachineFailure> {
-        let metrics = self.metrics.clone();
-        run_record_words(
-            &mut self.rec192,
-            self.machine_config,
-            self.strategy,
-            &mut self.stats,
-            metrics.as_deref(),
-            words,
-            per_rank,
-        )
-    }
 }
 
-/// Run one record batch on the (lazily booted) machine in `slot`,
-/// harvesting plan-cache, fault, and kernel stats into the shared pool
-/// counters exactly like the plain path. A failed batch drops the
-/// machine; the next record batch of this shape boots a fresh one.
-fn run_record_words<K: RadixKey>(
-    slot: &mut Option<SpmdMachine<K, SortContext<K>, Vec<K>>>,
-    config: MachineConfig,
-    strategy: LocalStrategy,
-    stats: &mut PoolStats,
-    metrics: Option<&ClassMetrics>,
-    words: Vec<K>,
-    per_rank: usize,
-) -> Result<Vec<K>, MachineFailure> {
-    let procs = config.procs;
-    assert_eq!(words.len(), per_rank * procs, "batch must be padded");
-    let machine = slot.get_or_insert_with(|| SpmdMachine::boot(config, |_| SortContext::new()));
-    let words = Arc::new(words);
-    let result = machine.run(move |comm, ctx| {
-        let me = comm.rank();
-        let local = words[me * per_rank..(me + 1) * per_rank].to_vec();
-        smart_sort_ctx(comm, local, strategy, ctx)
-    });
-    match result {
-        Ok(ranks) => {
-            stats.batches_run += 1;
-            let mut batch_misses = 0;
-            let mut out = Vec::with_capacity(per_rank * procs);
-            for r in ranks {
-                stats.plan_hits += r.stats.plan_hits;
-                stats.plan_misses += r.stats.plan_misses;
-                stats.faults.sum_merge(&r.stats.faults);
-                batch_misses += r.stats.plan_misses;
-                if let Some(m) = metrics {
-                    m.record_rank_stats(&r.stats);
-                }
-                out.extend_from_slice(&r.output);
-            }
-            stats.last_batch_plan_misses = batch_misses;
-            Ok(out)
-        }
-        Err(failure) => {
-            stats.batches_failed += 1;
-            stats.machines_rebuilt += 1;
-            if let Some(m) = metrics {
-                m.machines_rebuilt.inc();
-            }
-            *slot = None;
-            Err(failure)
-        }
-    }
+fn boot<W: RadixKey>(config: MachineConfig) -> SortMachine<W> {
+    SpmdMachine::boot(config, |_| SortContext::new())
 }
 
 #[cfg(test)]
@@ -527,9 +476,7 @@ mod tests {
             let mut batch = RecordBatch::<u128>::new();
             batch.push(&keys, Direction::Ascending);
             let (words, per_rank) = batch.padded_words(2);
-            let sorted = p
-                .run_record128_batch(words, per_rank)
-                .expect("record batch");
+            let sorted = p.run_batch(words, per_rank).expect("record batch");
             let seg = batch.split(&sorted).remove(0);
             let oracle = records_sorted_independently(&keys, Direction::Ascending);
             assert_eq!(seg.keys, oracle.keys);
@@ -547,9 +494,7 @@ mod tests {
         let mut batch = RecordBatch::<W192>::new();
         batch.push(&wide, Direction::Descending);
         let (words, per_rank) = batch.padded_words(2);
-        let sorted = p
-            .run_record192_batch(words, per_rank)
-            .expect("192-bit batch");
+        let sorted = p.run_batch(words, per_rank).expect("192-bit batch");
         let seg = batch.split(&sorted).remove(0);
         let oracle = records_sorted_independently(&wide, Direction::Descending);
         assert_eq!(seg.keys, oracle.keys);

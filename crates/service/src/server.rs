@@ -5,9 +5,16 @@
 //! admission control answers immediately (admitted requests get a
 //! [`Ticket`], shed ones a structured [`Rejection`]). The dispatcher
 //! pulls admitted requests from the queue under the [`Coalescer`]'s
-//! flush/wait policy, encodes them as one [`TaggedBatch`], runs the
-//! batch on a warm machine, and scatters per-request replies back
-//! through the tickets.
+//! flush/wait policy, encodes them as one [`RecordBatch`] of their
+//! lane's word shape, runs the batch on a warm machine, and scatters
+//! per-request replies back through the tickets.
+//!
+//! Both entry points feed one path. A [`SortRequest`] is the u32,
+//! stride-0 case of a [`RecordRequest`]; each request's lane is the
+//! word shape it needs — `u64` for u32 keys without payload, `u128` for
+//! u32 keys with payload and all u64 keys, [`W192`] for u128 keys — and
+//! only the reply format ([`Ticket`] or [`RecordTicket`]) remembers
+//! which entry point a request came through.
 //!
 //! Every stage is recorded as a span in the service's
 //! [`obs::TraceSink`] under the serving-layer phases —
@@ -19,12 +26,13 @@ use crate::admission::{Admission, Rejection};
 use crate::coalescer::{Coalescer, Verdict};
 use crate::config::ServiceConfig;
 use crate::metrics::{ClassMetrics, ServiceMetrics};
-use crate::pool::WarmPool;
-use bitonic_core::tagged::{RecordBatch, RecordWord, TaggedBatch};
+use crate::pool::{PoolWord, WarmPool};
+use bitonic_core::tagged::{RecordBatch, RecordSegment};
 use bitonic_network::Direction;
 use local_sorts::W192;
 use obs::{RankTrace, TracePhase, TraceSink};
 use spmd::MachineFailure;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -44,6 +52,19 @@ pub struct SortRequest {
 }
 
 impl SortRequest {
+    /// This request as the work item every lane carries: u32 keys,
+    /// stride 0.
+    pub(crate) fn into_work(self) -> (Work, Option<Duration>) {
+        let work = Work {
+            keys: RecordKeys::U32(self.keys),
+            payload: Vec::new(),
+            stride: 0,
+            dir: self.dir,
+            record: false,
+        };
+        (work, self.deadline)
+    }
+
     /// An ascending sort of `keys` under the service's default deadline.
     #[must_use]
     pub fn ascending(keys: Vec<u32>) -> Self {
@@ -108,10 +129,15 @@ impl std::fmt::Display for SortError {
 
 impl std::error::Error for SortError {}
 
+/// Where every admitted request's reply goes, whichever API it came
+/// through, and the claim on it.
+pub(crate) type ReplyTx = mpsc::Sender<Result<RecordReply, SortError>>;
+pub(crate) type ReplyRx = mpsc::Receiver<Result<RecordReply, SortError>>;
+
 /// A claim on an admitted request's eventual reply.
 #[derive(Debug)]
 pub struct Ticket {
-    pub(crate) rx: mpsc::Receiver<Result<Vec<u32>, SortError>>,
+    pub(crate) rx: ReplyRx,
 }
 
 impl Ticket {
@@ -120,15 +146,17 @@ impl Ticket {
     /// # Errors
     /// The [`SortError`] describing why the admitted request failed.
     pub fn wait(self) -> Result<Vec<u32>, SortError> {
-        self.rx.recv().unwrap_or(Err(SortError::ServiceClosed))
+        let reply = self.rx.recv().unwrap_or(Err(SortError::ServiceClosed));
+        reply.map(RecordReply::into_plain)
     }
 }
 
 /// The keys of a record request, at one of the three supported widths.
 ///
-/// u32 keys ride the 128-bit record word (zero-extended to u64 — the
-/// descending munge happens in the 64-bit domain, which preserves order
-/// and round-trips); u128 keys ride the 192-bit word.
+/// u32 keys ride the 64-bit word without payload and the 128-bit record
+/// word (zero-extended to u64 — the descending munge happens in the
+/// 64-bit domain, which preserves order and round-trips) with it; u64
+/// keys ride the 128-bit word and u128 keys the 192-bit word.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordKeys {
     /// 4-byte keys.
@@ -213,6 +241,26 @@ impl RecordRequest {
         self.deadline = Some(deadline);
         self
     }
+
+    /// This request as the work item every lane carries.
+    ///
+    /// # Panics
+    /// Panics if `payload.len() != stride * keys.len()`.
+    pub(crate) fn into_work(self) -> (Work, Option<Duration>) {
+        assert_eq!(
+            self.payload.len(),
+            self.stride * self.keys.len(),
+            "payload must hold exactly stride bytes per key"
+        );
+        let work = Work {
+            keys: self.keys,
+            payload: self.payload,
+            stride: self.stride,
+            dir: self.dir,
+            record: true,
+        };
+        (work, self.deadline)
+    }
 }
 
 /// A sorted record reply: keys in the requested order, with payload row
@@ -229,10 +277,20 @@ pub struct RecordReply {
     pub stride: usize,
 }
 
+impl RecordReply {
+    /// The keys of a plain request's reply.
+    pub(crate) fn into_plain(self) -> Vec<u32> {
+        let RecordKeys::U32(keys) = self.keys else {
+            unreachable!("a plain request is sorted as u32 keys");
+        };
+        keys
+    }
+}
+
 /// A claim on an admitted record request's eventual reply.
 #[derive(Debug)]
 pub struct RecordTicket {
-    pub(crate) rx: mpsc::Receiver<Result<RecordReply, SortError>>,
+    pub(crate) rx: ReplyRx,
 }
 
 impl RecordTicket {
@@ -292,106 +350,139 @@ pub struct ServiceReport {
     pub trace: RankTrace,
 }
 
-/// The work carried by one queued request: a legacy bare-key sort, or a
-/// record sort carrying payload bytes alongside the keys.
-pub(crate) enum PendingWork {
-    Plain {
-        keys: Vec<u32>,
-        reply: mpsc::Sender<Result<Vec<u32>, SortError>>,
-    },
-    Record {
-        keys: RecordKeys,
-        payload: Vec<u8>,
-        stride: usize,
-        reply: mpsc::Sender<Result<RecordReply, SortError>>,
-    },
+/// What one admitted request sorts: keys at one of the three widths,
+/// `stride` payload bytes per key, and the requested order. A plain
+/// [`SortRequest`] is the u32, stride-0 case.
+pub(crate) struct Work {
+    pub(crate) keys: RecordKeys,
+    pub(crate) payload: Vec<u8>,
+    pub(crate) stride: usize,
+    pub(crate) dir: Direction,
+    /// Whether the request came through `submit_record`: it is answered
+    /// through a [`RecordTicket`] and counted as a record request. Bulk
+    /// partitions inherit their parent's entry point.
+    pub(crate) record: bool,
 }
 
-/// The coalescing lane of a queued request. Requests only share a batch
-/// with same-lane peers: a batch is one word stream, so every element in
-/// it must use the same word shape and key width.
+impl Work {
+    pub(crate) fn key_count(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The word shape this request needs.
+    pub(crate) fn lane(&self) -> Lane {
+        match (&self.keys, self.stride) {
+            (RecordKeys::U32(_), 0) => Lane::U64,
+            (RecordKeys::U128(_), _) => Lane::W192,
+            _ => Lane::U128,
+        }
+    }
+
+    /// This request's reply, from its segment of a sorted `W` batch.
+    fn answer<W: LaneWord>(&self, seg: RecordSegment<W::Key>) -> RecordReply {
+        RecordReply {
+            keys: W::narrow(seg.keys, &self.keys),
+            payload: gather_rows(&self.payload, self.stride, &seg.perm),
+            stride: self.stride,
+        }
+    }
+}
+
+/// The coalescing lane of a queued request: the machine word its batch
+/// runs on. Requests only share a batch with same-lane peers: a batch is
+/// one word stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Lane {
-    Plain,
-    Rec32,
-    Rec64,
-    Rec128,
+    U64,
+    U128,
+    W192,
+}
+
+/// Evaluate `$body` with the type alias `$W` naming `$lane`'s word.
+macro_rules! with_word {
+    ($lane:expr, $W:ident => $body:expr) => {
+        match $lane {
+            $crate::server::Lane::U64 => {
+                type $W = u64;
+                $body
+            }
+            $crate::server::Lane::U128 => {
+                type $W = u128;
+                $body
+            }
+            $crate::server::Lane::W192 => {
+                type $W = local_sorts::W192;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_word;
+
+/// A pool word seen from the request side: `widen` lifts a request's
+/// keys into the word's key domain, `narrow` rebuilds keys at the width
+/// of `like` from sorted wide keys.
+pub(crate) trait LaneWord: PoolWord {
+    fn widen(keys: &RecordKeys) -> Cow<'_, [Self::Key]>;
+    fn narrow(keys: Vec<Self::Key>, like: &RecordKeys) -> RecordKeys;
+}
+
+impl LaneWord for u64 {
+    fn widen(keys: &RecordKeys) -> Cow<'_, [u32]> {
+        match keys {
+            RecordKeys::U32(k) => Cow::Borrowed(k),
+            _ => unreachable!("the u64 lane carries u32 keys"),
+        }
+    }
+
+    fn narrow(keys: Vec<u32>, _: &RecordKeys) -> RecordKeys {
+        RecordKeys::U32(keys)
+    }
+}
+
+impl LaneWord for u128 {
+    fn widen(keys: &RecordKeys) -> Cow<'_, [u64]> {
+        match keys {
+            RecordKeys::U32(k) => Cow::Owned(k.iter().copied().map(u64::from).collect()),
+            RecordKeys::U64(k) => Cow::Borrowed(k),
+            RecordKeys::U128(_) => unreachable!("the u128 lane carries u32/u64 keys"),
+        }
+    }
+
+    fn narrow(keys: Vec<u64>, like: &RecordKeys) -> RecordKeys {
+        match like {
+            RecordKeys::U32(_) => RecordKeys::U32(keys.into_iter().map(|k| k as u32).collect()),
+            _ => RecordKeys::U64(keys),
+        }
+    }
+}
+
+impl LaneWord for W192 {
+    fn widen(keys: &RecordKeys) -> Cow<'_, [u128]> {
+        match keys {
+            RecordKeys::U128(k) => Cow::Borrowed(k),
+            _ => unreachable!("the W192 lane carries u128 keys"),
+        }
+    }
+
+    fn narrow(keys: Vec<u128>, _: &RecordKeys) -> RecordKeys {
+        RecordKeys::U128(keys)
+    }
 }
 
 /// An admitted request waiting in a queue — the unit both the
 /// single-pool dispatcher and the sharded workers (including steals)
 /// move around.
 pub(crate) struct Pending {
-    pub(crate) work: PendingWork,
-    pub(crate) dir: Direction,
+    pub(crate) work: Work,
+    pub(crate) reply: ReplyTx,
     pub(crate) deadline: Duration,
     pub(crate) enqueued: Instant,
 }
 
-impl Pending {
-    pub(crate) fn plain(
-        keys: Vec<u32>,
-        dir: Direction,
-        deadline: Duration,
-        reply: mpsc::Sender<Result<Vec<u32>, SortError>>,
-    ) -> Self {
-        Pending {
-            work: PendingWork::Plain { keys, reply },
-            dir,
-            deadline,
-            enqueued: Instant::now(),
-        }
-    }
-
-    pub(crate) fn record(
-        keys: RecordKeys,
-        payload: Vec<u8>,
-        stride: usize,
-        dir: Direction,
-        deadline: Duration,
-        reply: mpsc::Sender<Result<RecordReply, SortError>>,
-    ) -> Self {
-        Pending {
-            work: PendingWork::Record {
-                keys,
-                payload,
-                stride,
-                reply,
-            },
-            dir,
-            deadline,
-            enqueued: Instant::now(),
-        }
-    }
-
-    pub(crate) fn key_count(&self) -> usize {
-        match &self.work {
-            PendingWork::Plain { keys, .. } => keys.len(),
-            PendingWork::Record { keys, .. } => keys.len(),
-        }
-    }
-
-    pub(crate) fn lane(&self) -> Lane {
-        match &self.work {
-            PendingWork::Plain { .. } => Lane::Plain,
-            PendingWork::Record { keys, .. } => match keys {
-                RecordKeys::U32(_) => Lane::Rec32,
-                RecordKeys::U64(_) => Lane::Rec64,
-                RecordKeys::U128(_) => Lane::Rec128,
-            },
-        }
-    }
-
-    /// Send the failure to whichever reply channel this request carries.
-    pub(crate) fn fail(&self, err: SortError) {
-        match &self.work {
-            PendingWork::Plain { reply, .. } => {
-                let _ = reply.send(Err(err));
-            }
-            PendingWork::Record { reply, .. } => {
-                let _ = reply.send(Err(err));
-            }
-        }
+impl AsRef<Work> for Pending {
+    fn as_ref(&self) -> &Work {
+        &self.work
     }
 }
 
@@ -399,20 +490,20 @@ impl Pending {
 /// `pending_keys` consistent. Always takes at least one request when the
 /// queue is non-empty (admission guarantees any single admitted request
 /// fits one batch). The prefix stops at the first request in a different
-/// coalescing lane than the head — records only batch with same-width
-/// peers, and never with plain sorts. Shared by the single-pool
-/// dispatcher, the shard workers, and the work-stealing path — a thief
-/// claiming a victim's oldest batch takes exactly the prefix the victim
-/// itself would have.
-pub(crate) fn take_prefix(
-    pending: &mut VecDeque<Pending>,
+/// coalescing lane than the head. Shared by the single-pool dispatcher,
+/// the shard workers, the work-stealing path, and the virtual-time
+/// engine — a thief claiming a victim's oldest batch takes exactly the
+/// prefix the victim itself would have.
+pub(crate) fn take_prefix<P: AsRef<Work>>(
+    pending: &mut VecDeque<P>,
     pending_keys: &mut usize,
     max_batch_keys: usize,
-) -> Vec<Pending> {
+) -> Vec<P> {
     let mut batch = Vec::new();
     let mut keys = 0usize;
     let mut lane = None;
     while let Some(front) = pending.front() {
+        let front = front.as_ref();
         let k = front.key_count();
         if !batch.is_empty() && keys + k > max_batch_keys {
             break;
@@ -451,12 +542,52 @@ pub(crate) fn gather_rows(payload: &[u8], stride: usize, perm: &[u32]) -> Vec<u8
     out
 }
 
-/// Expire the stale, encode the live requests as one batch (a
-/// [`TaggedBatch`] for plain sorts, a [`RecordBatch`] for record sorts
-/// — `take_prefix` guarantees a taken batch is single-lane), run it on
-/// `pool`, and scatter the replies — recording `Queue`/`Batch`/`Run`/
-/// `Scatter` spans (with `batch_no` as the span step) along the way.
-/// Shared by the single-pool dispatcher and every shard worker.
+/// When a batch finished encoding, and when its machine run returned.
+pub(crate) struct BatchMarks {
+    pub(crate) encoded_at: Instant,
+    pub(crate) ran_at: Instant,
+}
+
+/// Encode a single-lane batch (`take_prefix` guarantees one lane) as
+/// words of its lane's shape, sort them on `pool`, and split the run into
+/// one reply per request, in batch order. The one batch body behind the
+/// single-pool dispatcher, the shard workers, and the virtual-time
+/// engine.
+pub(crate) fn run_lane<P: AsRef<Work>>(
+    pool: &mut WarmPool,
+    procs: usize,
+    live: &[P],
+) -> (BatchMarks, Result<Vec<RecordReply>, MachineFailure>) {
+    with_word!(live[0].as_ref().lane(), W => run_words::<W, P>(pool, procs, live))
+}
+
+fn run_words<W: LaneWord, P: AsRef<Work>>(
+    pool: &mut WarmPool,
+    procs: usize,
+    live: &[P],
+) -> (BatchMarks, Result<Vec<RecordReply>, MachineFailure>) {
+    let mut batch = RecordBatch::<W>::new();
+    for p in live {
+        let work = p.as_ref();
+        batch.push(&W::widen(&work.keys), work.dir);
+    }
+    let (words, per_rank) = batch.padded_words(procs);
+    let encoded_at = Instant::now();
+    let result = pool.run_batch(words, per_rank);
+    let ran_at = Instant::now();
+    let replies = result.map(|sorted| {
+        live.iter()
+            .zip(batch.split(&sorted))
+            .map(|(p, seg)| p.as_ref().answer::<W>(seg))
+            .collect()
+    });
+    (BatchMarks { encoded_at, ran_at }, replies)
+}
+
+/// Expire the stale, run the live requests as one batch on `pool`, and
+/// scatter the replies — recording `Queue`/`Batch`/`Run`/`Scatter` spans
+/// (with `batch_no` as the span step) along the way. Shared by the
+/// single-pool dispatcher and every shard worker.
 pub(crate) fn process_batch(
     pool: &mut WarmPool,
     procs: usize,
@@ -476,7 +607,6 @@ pub(crate) fn process_batch(
         m.batch_requests.observe(batch.len() as u64);
     }
 
-    // Expiry sweep, shared by every lane.
     let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
     for p in batch {
         sink.span(TracePhase::Queue, p.enqueued, formed_at);
@@ -485,10 +615,10 @@ pub(crate) fn process_batch(
             m.queue_wait_us.observe_us(waited);
         }
         if waited > p.deadline {
-            p.fail(SortError::Expired {
+            let _ = p.reply.send(Err(SortError::Expired {
                 waited,
                 deadline: p.deadline,
-            });
+            }));
             outcome.expired += 1;
             if let Some(m) = metrics {
                 m.expired.inc();
@@ -499,174 +629,39 @@ pub(crate) fn process_batch(
         live.push(p);
     }
 
-    outcome.batched_keys = live.iter().map(Pending::key_count).sum::<usize>() as u64;
+    outcome.batched_keys = live.iter().map(|p| p.work.key_count()).sum::<usize>() as u64;
     if let Some(m) = metrics {
         m.batch_keys.observe(outcome.batched_keys);
     }
     if live.is_empty() {
         return outcome;
     }
-    match live[0].lane() {
-        Lane::Plain => run_plain_batch(pool, procs, &live, formed_at, sink, metrics, &mut outcome),
-        Lane::Rec32 => run_record_batch::<u128>(
-            pool,
-            procs,
-            &live,
-            formed_at,
-            sink,
-            metrics,
-            &mut outcome,
-            |keys| match keys {
-                RecordKeys::U32(k) => k.iter().copied().map(u64::from).collect(),
-                _ => unreachable!("single-lane batch"),
-            },
-            |keys| RecordKeys::U32(keys.into_iter().map(|k| k as u32).collect()),
-            WarmPool::run_record128_batch,
-        ),
-        Lane::Rec64 => run_record_batch::<u128>(
-            pool,
-            procs,
-            &live,
-            formed_at,
-            sink,
-            metrics,
-            &mut outcome,
-            |keys| match keys {
-                RecordKeys::U64(k) => k.clone(),
-                _ => unreachable!("single-lane batch"),
-            },
-            RecordKeys::U64,
-            WarmPool::run_record128_batch,
-        ),
-        Lane::Rec128 => run_record_batch::<W192>(
-            pool,
-            procs,
-            &live,
-            formed_at,
-            sink,
-            metrics,
-            &mut outcome,
-            |keys| match keys {
-                RecordKeys::U128(k) => k.clone(),
-                _ => unreachable!("single-lane batch"),
-            },
-            RecordKeys::U128,
-            WarmPool::run_record192_batch,
-        ),
+    let (marks, result) = run_lane(pool, procs, &live);
+    sink.span(TracePhase::Batch, formed_at, marks.encoded_at);
+    sink.span(TracePhase::Run, marks.encoded_at, marks.ran_at);
+    observe_drift(metrics, outcome.batched_keys, &marks);
+    match result {
+        Ok(replies) => {
+            for (p, reply) in live.iter().zip(replies) {
+                if let (Some(m), true) = (metrics, p.work.record) {
+                    m.record_record_request(p.work.keys.width(), p.work.payload.len() as u64);
+                }
+                let _ = p.reply.send(Ok(reply));
+            }
+            note_batch_completed(&live, marks.ran_at, sink, metrics, &mut outcome);
+        }
+        Err(failure) => note_batch_failed(&live, &failure, metrics, &mut outcome),
     }
     outcome
 }
 
-/// The legacy bare-key path: encode as a [`TaggedBatch`], run, split.
-fn run_plain_batch(
-    pool: &mut WarmPool,
-    procs: usize,
-    live: &[Pending],
-    formed_at: Instant,
-    sink: &mut TraceSink,
-    metrics: Option<&ClassMetrics>,
-    outcome: &mut BatchOutcome,
-) {
-    let mut tagged = TaggedBatch::new();
-    for p in live {
-        let PendingWork::Plain { keys, .. } = &p.work else {
-            unreachable!("single-lane batch");
-        };
-        tagged.push(keys, p.dir);
-    }
-    let (words, per_rank) = tagged.padded_words(procs);
-    let encoded_at = Instant::now();
-    sink.span(TracePhase::Batch, formed_at, encoded_at);
-    let result = pool.run_batch(words, per_rank);
-    let ran_at = Instant::now();
-    sink.span(TracePhase::Run, encoded_at, ran_at);
-    observe_drift(metrics, outcome.batched_keys, encoded_at, ran_at);
-    match result {
-        Ok(sorted) => {
-            let replies = tagged.split(&sorted);
-            for (p, r) in live.iter().zip(replies) {
-                let PendingWork::Plain { reply, .. } = &p.work else {
-                    unreachable!("single-lane batch");
-                };
-                let _ = reply.send(Ok(r));
-            }
-            note_batch_completed(live, ran_at, sink, metrics, outcome);
-        }
-        Err(failure) => note_batch_failed(live, &failure, metrics, outcome),
-    }
-}
-
-/// The record path, generic over the machine word `W` (u128 for u32/u64
-/// keys, [`W192`] for u128 keys). `widen` lifts a request's keys into
-/// the word's key domain, `narrow` rebuilds [`RecordKeys`] from sorted
-/// wide keys, and `run` picks the pool's machine for this word shape.
-#[allow(clippy::too_many_arguments)]
-fn run_record_batch<W: RecordWord>(
-    pool: &mut WarmPool,
-    procs: usize,
-    live: &[Pending],
-    formed_at: Instant,
-    sink: &mut TraceSink,
-    metrics: Option<&ClassMetrics>,
-    outcome: &mut BatchOutcome,
-    widen: impl Fn(&RecordKeys) -> Vec<W::Key>,
-    narrow: impl Fn(Vec<W::Key>) -> RecordKeys,
-    run: impl FnOnce(&mut WarmPool, Vec<W>, usize) -> Result<Vec<W>, MachineFailure>,
-) {
-    let mut rec = RecordBatch::<W>::new();
-    for p in live {
-        let PendingWork::Record { keys, .. } = &p.work else {
-            unreachable!("single-lane batch");
-        };
-        rec.push(&widen(keys), p.dir);
-    }
-    let (words, per_rank) = rec.padded_words(procs);
-    let encoded_at = Instant::now();
-    sink.span(TracePhase::Batch, formed_at, encoded_at);
-    let result = run(pool, words, per_rank);
-    let ran_at = Instant::now();
-    sink.span(TracePhase::Run, encoded_at, ran_at);
-    observe_drift(metrics, outcome.batched_keys, encoded_at, ran_at);
-    match result {
-        Ok(sorted) => {
-            let segments = rec.split(&sorted);
-            for (p, seg) in live.iter().zip(segments) {
-                let PendingWork::Record {
-                    keys,
-                    payload,
-                    stride,
-                    reply,
-                } = &p.work
-                else {
-                    unreachable!("single-lane batch");
-                };
-                if let Some(m) = metrics {
-                    m.record_record_request(keys.width(), payload.len() as u64);
-                }
-                let _ = reply.send(Ok(RecordReply {
-                    keys: narrow(seg.keys),
-                    payload: gather_rows(payload, *stride, &seg.perm),
-                    stride: *stride,
-                }));
-            }
-            note_batch_completed(live, ran_at, sink, metrics, outcome);
-        }
-        Err(failure) => note_batch_failed(live, &failure, metrics, outcome),
-    }
-}
-
 /// The live drift signal: how far off the LogP prediction for this
 /// batch's key count the machine actually ran.
-fn observe_drift(
-    metrics: Option<&ClassMetrics>,
-    batched_keys: u64,
-    encoded_at: Instant,
-    ran_at: Instant,
-) {
+fn observe_drift(metrics: Option<&ClassMetrics>, batched_keys: u64, marks: &BatchMarks) {
     if let Some(m) = metrics {
         let predicted = m.cost().predicted_run(batched_keys as usize);
         m.drift
-            .observe(predicted, ran_at.duration_since(encoded_at));
+            .observe(predicted, marks.ran_at.duration_since(marks.encoded_at));
     }
 }
 
@@ -702,7 +697,7 @@ fn note_batch_failed(
 ) {
     let msg = failure.to_string();
     for p in live {
-        p.fail(SortError::MachineFailed(msg.clone()));
+        let _ = p.reply.send(Err(SortError::MachineFailed(msg.clone())));
     }
     outcome.failed = live.len() as u64;
     if let Some(m) = metrics {
@@ -790,60 +785,33 @@ impl SortService {
     /// # Errors
     /// The [`Rejection`] naming the admission limit the request hit.
     pub fn submit(&self, request: SortRequest) -> Result<Ticket, Rejection> {
-        let deadline = request.deadline.unwrap_or(self.default_deadline);
-        let m = self.metrics.as_deref().map(|m| m.class(0).clone());
-        let mut q = self.shared.q.lock().expect("queue lock");
-        q.stats.submitted += 1;
-        if let Some(m) = &m {
-            m.submitted.inc();
-        }
-        if q.closed {
-            q.stats.shed += 1;
-            if let Some(m) = &m {
-                m.record_shed(&Rejection::Closed);
-            }
-            return Err(Rejection::Closed);
-        }
-        if let Err(r) = self.admission.admit(
-            q.pending.len(),
-            q.pending_keys,
-            request.keys.len(),
-            deadline,
-        ) {
-            q.stats.shed += 1;
-            if let Some(m) = &m {
-                m.record_shed(&r);
-            }
-            return Err(r);
-        }
-        q.stats.admitted += 1;
-        q.pending_keys += request.keys.len();
-        let (reply, rx) = mpsc::channel();
-        q.pending
-            .push_back(Pending::plain(request.keys, request.dir, deadline, reply));
-        if let Some(m) = &m {
-            m.admitted.inc();
-            m.set_queue(q.pending.len(), q.pending_keys);
-        }
-        drop(q);
-        self.shared.cv.notify_all();
-        Ok(Ticket { rx })
+        let (work, deadline) = request.into_work();
+        Ok(Ticket {
+            rx: self.enqueue(work, deadline)?,
+        })
     }
 
     /// Submit a record request: keys at any supported width plus an
     /// opaque payload carried through the sort and handed back in key
     /// order. Admission treats a record like a plain request with the
-    /// same key count; records only coalesce with same-width peers.
+    /// same key count; requests coalesce with peers of the same word
+    /// shape.
     ///
     /// # Errors
     /// The [`Rejection`] naming the admission limit the request hit.
+    ///
+    /// # Panics
+    /// Panics if the payload does not hold exactly `stride` bytes per key.
     pub fn submit_record(&self, request: RecordRequest) -> Result<RecordTicket, Rejection> {
-        assert_eq!(
-            request.payload.len(),
-            request.stride * request.keys.len(),
-            "payload must hold exactly stride bytes per key"
-        );
-        let deadline = request.deadline.unwrap_or(self.default_deadline);
+        let (work, deadline) = request.into_work();
+        Ok(RecordTicket {
+            rx: self.enqueue(work, deadline)?,
+        })
+    }
+
+    /// Admission control and enqueue, for both entry points.
+    fn enqueue(&self, work: Work, deadline: Option<Duration>) -> Result<ReplyRx, Rejection> {
+        let deadline = deadline.unwrap_or(self.default_deadline);
         let m = self.metrics.as_deref().map(|m| m.class(0).clone());
         let mut q = self.shared.q.lock().expect("queue lock");
         q.stats.submitted += 1;
@@ -857,12 +825,10 @@ impl SortService {
             }
             return Err(Rejection::Closed);
         }
-        if let Err(r) = self.admission.admit(
-            q.pending.len(),
-            q.pending_keys,
-            request.keys.len(),
-            deadline,
-        ) {
+        if let Err(r) =
+            self.admission
+                .admit(q.pending.len(), q.pending_keys, work.key_count(), deadline)
+        {
             q.stats.shed += 1;
             if let Some(m) = &m {
                 m.record_shed(&r);
@@ -870,23 +836,21 @@ impl SortService {
             return Err(r);
         }
         q.stats.admitted += 1;
-        q.pending_keys += request.keys.len();
+        q.pending_keys += work.key_count();
         let (reply, rx) = mpsc::channel();
-        q.pending.push_back(Pending::record(
-            request.keys,
-            request.payload,
-            request.stride,
-            request.dir,
-            deadline,
+        q.pending.push_back(Pending {
+            work,
             reply,
-        ));
+            deadline,
+            enqueued: Instant::now(),
+        });
         if let Some(m) = &m {
             m.admitted.inc();
             m.set_queue(q.pending.len(), q.pending_keys);
         }
         drop(q);
         self.shared.cv.notify_all();
-        Ok(RecordTicket { rx })
+        Ok(rx)
     }
 
     /// A snapshot of the counters (pool counters are as of the most

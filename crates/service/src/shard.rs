@@ -53,13 +53,11 @@ use crate::metrics::ServiceMetrics;
 use crate::pool::{PoolStats, WarmPool};
 use crate::router::Router;
 use crate::server::{
-    gather_rows, process_batch, take_prefix, Lane, Pending, PendingWork, RecordKeys, RecordReply,
-    RecordRequest, RecordTicket, SortError, SortRequest, Ticket,
+    process_batch, run_lane, take_prefix, Lane, Pending, RecordReply, RecordRequest, RecordTicket,
+    ReplyRx, ReplyTx, SortError, SortRequest, Ticket, Work,
 };
 use crate::split::{self, BulkFailure, BulkReason};
-use bitonic_core::tagged::{RecordBatch, RecordWord, TaggedBatch};
 use bitonic_network::Direction;
-use local_sorts::W192;
 use obs::{RankTrace, TracePhase, TraceSink};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
@@ -246,6 +244,9 @@ impl ShardedService {
     #[must_use]
     pub fn start(cfg: ShardedConfig) -> Self {
         cfg.validate();
+        // Calibrate before the workers race to: the first caller measures
+        // while the others would go on serving with the uncalibrated table.
+        local_sorts::dispatch::ensure_calibrated();
         let router = Router::new(&cfg);
         let epoch = Instant::now();
         let shards = cfg
@@ -327,96 +328,48 @@ impl ShardedService {
     /// # Errors
     /// The [`Rejection`] naming the limit the request hit.
     pub fn submit(&self, request: SortRequest) -> Result<Ticket, Rejection> {
-        let t0 = Instant::now();
-        let mut q = self.shared.q.lock().expect("shard queues lock");
-        if q.closed {
-            return Err(Rejection::Closed);
-        }
-        let Some(shard) = self.router.route(request.keys.len()) else {
-            if self.bulk.enabled {
-                drop(q);
-                return self.submit_bulk(request);
-            }
-            q.unroutable += 1;
-            if let Some(m) = self.metrics.as_deref() {
-                m.unroutable.inc();
-            }
-            return Err(self.router.too_large(request.keys.len()));
-        };
-        let cm = self.metrics.as_deref().map(|m| m.class(shard));
-        let deadline = request.deadline.unwrap_or(self.deadlines[shard]);
-        let sq = &mut q.shards[shard];
-        sq.stats.submitted += 1;
-        if let Some(m) = &cm {
-            m.submitted.inc();
-        }
-        if let Err(r) = self.admissions[shard].admit(
-            sq.pending.len(),
-            sq.pending_keys,
-            request.keys.len(),
-            deadline,
-        ) {
-            sq.stats.shed += 1;
-            if let Some(m) = &cm {
-                m.record_shed(&r);
-            }
-            return Err(r);
-        }
-        sq.stats.admitted += 1;
-        sq.pending_keys += request.keys.len();
-        if let Some(m) = &cm {
-            m.admitted.inc();
-            m.set_queue(sq.pending.len() + 1, sq.pending_keys);
-        }
-        let (reply, rx) = mpsc::channel();
-        sq.pending.push_back(Pending {
-            work: PendingWork::Plain {
-                keys: request.keys,
-                reply,
-            },
-            dir: request.dir,
-            deadline,
-            enqueued: t0,
-        });
-        q.router_sink.set_step(shard as u32);
-        q.router_sink.span(TracePhase::Route, t0, Instant::now());
-        drop(q);
-        self.shared.cv.notify_all();
-        Ok(Ticket { rx })
+        let (work, deadline) = request.into_work();
+        Ok(Ticket {
+            rx: self.route(work, deadline)?,
+        })
     }
 
-    /// Submit a record request: same routing and admission as
-    /// [`ShardedService::submit`] (a record counts its keys), with the
-    /// payload riding the queue and coming back in key order. Over-band
-    /// record requests take the bulk split path when enabled — payload
-    /// rows are scattered with their keys and merged stably on reply.
+    /// Submit a record request: same routing, admission and bulk split
+    /// as [`ShardedService::submit`] (a record counts its keys), with the
+    /// payload riding the queue and coming back in key order.
     ///
     /// # Errors
     /// The [`Rejection`] naming the limit the request hit.
+    ///
+    /// # Panics
+    /// Panics if the payload does not hold exactly `stride` bytes per key.
     pub fn submit_record(&self, request: RecordRequest) -> Result<RecordTicket, Rejection> {
-        assert_eq!(
-            request.payload.len(),
-            request.stride * request.keys.len(),
-            "payload must hold exactly stride bytes per key"
-        );
+        let (work, deadline) = request.into_work();
+        Ok(RecordTicket {
+            rx: self.route(work, deadline)?,
+        })
+    }
+
+    /// Route, admit and enqueue one request, for both entry points.
+    fn route(&self, work: Work, deadline: Option<Duration>) -> Result<ReplyRx, Rejection> {
         let t0 = Instant::now();
         let mut q = self.shared.q.lock().expect("shard queues lock");
         if q.closed {
             return Err(Rejection::Closed);
         }
-        let Some(shard) = self.router.route(request.keys.len()) else {
+        let Some(shard) = self.router.route(work.key_count()) else {
             if self.bulk.enabled {
                 drop(q);
-                return self.submit_record_bulk(request);
+                return self.scatter(work, deadline);
             }
             q.unroutable += 1;
             if let Some(m) = self.metrics.as_deref() {
                 m.unroutable.inc();
             }
-            return Err(self.router.too_large(request.keys.len()));
+            return Err(self.router.too_large(work.key_count()));
         };
         let cm = self.metrics.as_deref().map(|m| m.class(shard));
-        let deadline = request.deadline.unwrap_or(self.deadlines[shard]);
+        let deadline = deadline.unwrap_or(self.deadlines[shard]);
         let sq = &mut q.shards[shard];
         sq.stats.submitted += 1;
         if let Some(m) = &cm {
@@ -425,7 +378,7 @@ impl ShardedService {
         if let Err(r) = self.admissions[shard].admit(
             sq.pending.len(),
             sq.pending_keys,
-            request.keys.len(),
+            work.key_count(),
             deadline,
         ) {
             sq.stats.shed += 1;
@@ -435,20 +388,15 @@ impl ShardedService {
             return Err(r);
         }
         sq.stats.admitted += 1;
-        sq.pending_keys += request.keys.len();
+        sq.pending_keys += work.key_count();
         if let Some(m) = &cm {
             m.admitted.inc();
             m.set_queue(sq.pending.len() + 1, sq.pending_keys);
         }
         let (reply, rx) = mpsc::channel();
         sq.pending.push_back(Pending {
-            work: PendingWork::Record {
-                keys: request.keys,
-                payload: request.payload,
-                stride: request.stride,
-                reply,
-            },
-            dir: request.dir,
+            work,
+            reply,
             deadline,
             enqueued: t0,
         });
@@ -456,77 +404,21 @@ impl ShardedService {
         q.router_sink.span(TracePhase::Route, t0, Instant::now());
         drop(q);
         self.shared.cv.notify_all();
-        Ok(RecordTicket { rx })
+        Ok(rx)
     }
 
-    /// Dispatch an over-band record request to the width-typed bulk
-    /// scatter path.
-    fn submit_record_bulk(&self, request: RecordRequest) -> Result<RecordTicket, Rejection> {
-        let RecordRequest {
-            keys,
-            payload,
-            stride,
-            dir,
-            deadline,
-        } = request;
-        match keys {
-            RecordKeys::U32(k) => self.record_bulk(
-                k,
-                payload,
-                stride,
-                dir,
-                deadline,
-                RecordKeys::U32,
-                |rk| match rk {
-                    RecordKeys::U32(v) => v,
-                    _ => unreachable!("width is fixed per bulk request"),
-                },
-            ),
-            RecordKeys::U64(k) => self.record_bulk(
-                k,
-                payload,
-                stride,
-                dir,
-                deadline,
-                RecordKeys::U64,
-                |rk| match rk {
-                    RecordKeys::U64(v) => v,
-                    _ => unreachable!("width is fixed per bulk request"),
-                },
-            ),
-            RecordKeys::U128(k) => self.record_bulk(
-                k,
-                payload,
-                stride,
-                dir,
-                deadline,
-                RecordKeys::U128,
-                |rk| match rk {
-                    RecordKeys::U128(v) => v,
-                    _ => unreachable!("width is fixed per bulk request"),
-                },
-            ),
-        }
-    }
-
-    /// The record bulk path: [`split::plan_records`] scatters keys and
-    /// their payload rows into per-shard in-band record sub-requests
-    /// under the same two-phase admission as the plain bulk path; a
-    /// coordinator merges the sorted partitions stably (key ties break
-    /// toward the earlier partition) into the parent's reply.
-    #[allow(clippy::too_many_arguments)]
-    fn record_bulk<K: Copy + Ord + Send + Sync + 'static>(
-        &self,
-        keys: Vec<K>,
-        payload: Vec<u8>,
-        stride: usize,
-        dir: Direction,
-        deadline: Option<Duration>,
-        wrap: impl Fn(Vec<K>) -> RecordKeys + Send + 'static,
-        unwrap: impl Fn(RecordKeys) -> Vec<K> + Send + 'static,
-    ) -> Result<RecordTicket, Rejection> {
+    /// The bulk path: [`split::scatter`] cuts an over-band request into
+    /// per-shard in-band sub-requests (payload rows travel with their
+    /// keys), each shard's normal admission takes them, and a coordinator
+    /// thread merges the sorted partitions stably. The parent's reply is
+    /// the merge, or [`SortError::Bulk`] naming the first shard whose
+    /// partition sank.
+    fn scatter(&self, work: Work, deadline: Option<Duration>) -> Result<ReplyRx, Rejection> {
         let t0 = Instant::now();
-        let plan = split::plan_records(&keys, &self.bands, &self.bulk);
+        // Splitter selection is pure CPU over the keys; keep it outside
+        // the queue lock.
+        let (lane, dir) = (work.lane(), work.dir);
+        let plan = split::scatter(&work, &self.bands, &self.bulk);
         let nparts = plan.parts.len();
         let parent_deadline =
             deadline.unwrap_or_else(|| *self.deadlines.last().expect("at least one shard"));
@@ -545,171 +437,36 @@ impl ShardedService {
                 m.bulk_skew_permille.observe((s * 1000.0).round() as u64);
             }
         }
-        let mut extra_len = vec![0usize; q.shards.len()];
-        let mut extra_keys = vec![0usize; q.shards.len()];
-        let mut refused = None;
-        for part in &plan.parts {
-            let sq = &q.shards[part.shard];
-            if let Err(r) = self.admissions[part.shard].admit(
-                sq.pending.len() + extra_len[part.shard],
-                sq.pending_keys + extra_keys[part.shard],
-                part.keys.len(),
-                sub_deadline,
-            ) {
-                refused = Some(BulkFailure {
-                    shard: part.shard,
-                    reason: BulkReason::Shed(r),
-                });
-                break;
-            }
-            extra_len[part.shard] += 1;
-            extra_keys[part.shard] += part.keys.len();
-        }
-        if let Some(failure) = refused {
+        let queued = |s: usize| (q.shards[s].pending.len(), q.shards[s].pending_keys);
+        if let Err(failure) = admit_parts(&self.admissions, &plan.parts, sub_deadline, queued) {
             q.bulk_failed += 1;
             if let Some(m) = self.metrics.as_deref() {
                 m.bulk_failed.inc();
             }
             drop(q);
             let _ = parent_tx.send(Err(SortError::Bulk(failure)));
-            return Ok(RecordTicket { rx: parent_rx });
+            return Ok(parent_rx);
         }
         let mut subs = Vec::with_capacity(nparts);
-        for part in plan.parts {
-            let sq = &mut q.shards[part.shard];
+        for (shard, work) in plan.parts {
+            let sq = &mut q.shards[shard];
             sq.stats.submitted += 1;
             sq.stats.admitted += 1;
-            sq.pending_keys += part.keys.len();
+            sq.pending_keys += work.key_count();
             if let Some(m) = self.metrics.as_deref() {
-                let cm = m.class(part.shard);
+                let cm = m.class(shard);
                 cm.submitted.inc();
                 cm.admitted.inc();
                 cm.set_queue(sq.pending.len() + 1, sq.pending_keys);
             }
             let (reply, rx) = mpsc::channel();
             sq.pending.push_back(Pending {
-                work: PendingWork::Record {
-                    keys: wrap(part.keys),
-                    payload: gather_rows(&payload, stride, &part.rows),
-                    stride,
-                    reply,
-                },
-                dir,
+                work,
+                reply,
                 deadline: sub_deadline,
                 enqueued: t0,
             });
-            subs.push((part.shard, rx));
-        }
-        q.router_sink.set_step(nparts as u32);
-        q.router_sink.span(TracePhase::Split, t0, Instant::now());
-        let shared = Arc::clone(&self.shared);
-        let metrics = self.metrics.clone();
-        let worker = std::thread::spawn(move || {
-            record_bulk_coordinator(
-                &shared,
-                metrics.as_deref(),
-                dir,
-                stride,
-                subs,
-                &parent_tx,
-                wrap,
-                unwrap,
-            );
-        });
-        self.bulk_workers
-            .lock()
-            .expect("bulk worker list")
-            .push(worker);
-        drop(q);
-        self.shared.cv.notify_all();
-        Ok(RecordTicket { rx: parent_rx })
-    }
-
-    /// The bulk path: split an over-band request into per-shard in-band
-    /// sub-requests, enqueue them through each shard's normal admission,
-    /// and hand reassembly to a coordinator thread. The parent's ticket
-    /// resolves to the merged keys, or to [`SortError::Bulk`] naming the
-    /// first shard whose partition sank.
-    fn submit_bulk(&self, request: SortRequest) -> Result<Ticket, Rejection> {
-        let t0 = Instant::now();
-        // Splitter selection is pure CPU over the keys; keep it outside
-        // the queue lock.
-        let plan = split::plan(&request.keys, &self.bands, &self.bulk);
-        let nparts = plan.parts.len();
-        let dir = request.dir;
-        let parent_deadline = request
-            .deadline
-            .unwrap_or_else(|| *self.deadlines.last().expect("at least one shard"));
-        let sub_deadline = parent_deadline.saturating_sub(self.bulk.merge_budget);
-        let (parent_tx, parent_rx) = mpsc::channel();
-        let mut q = self.shared.q.lock().expect("shard queues lock");
-        if q.closed {
-            return Err(Rejection::Closed);
-        }
-        q.bulk_submitted += 1;
-        if let Some(m) = self.metrics.as_deref() {
-            m.bulk_submitted.inc();
-            m.bulk_parts.add(nparts as u64);
-            m.bulk_samples.add(plan.samples as u64);
-            for s in &plan.skew {
-                m.bulk_skew_permille.observe((s * 1000.0).round() as u64);
-            }
-        }
-        // Two-phase scatter: admission-check every partition (each check
-        // accounting for the ones before it) before enqueuing any, so a
-        // shed leaves no orphaned sub-requests behind.
-        let mut extra_len = vec![0usize; q.shards.len()];
-        let mut extra_keys = vec![0usize; q.shards.len()];
-        let mut refused = None;
-        for part in &plan.parts {
-            let sq = &q.shards[part.shard];
-            if let Err(r) = self.admissions[part.shard].admit(
-                sq.pending.len() + extra_len[part.shard],
-                sq.pending_keys + extra_keys[part.shard],
-                part.keys.len(),
-                sub_deadline,
-            ) {
-                refused = Some(BulkFailure {
-                    shard: part.shard,
-                    reason: BulkReason::Shed(r),
-                });
-                break;
-            }
-            extra_len[part.shard] += 1;
-            extra_keys[part.shard] += part.keys.len();
-        }
-        if let Some(failure) = refused {
-            q.bulk_failed += 1;
-            if let Some(m) = self.metrics.as_deref() {
-                m.bulk_failed.inc();
-            }
-            drop(q);
-            let _ = parent_tx.send(Err(SortError::Bulk(failure)));
-            return Ok(Ticket { rx: parent_rx });
-        }
-        let mut subs = Vec::with_capacity(nparts);
-        for part in plan.parts {
-            let sq = &mut q.shards[part.shard];
-            sq.stats.submitted += 1;
-            sq.stats.admitted += 1;
-            sq.pending_keys += part.keys.len();
-            if let Some(m) = self.metrics.as_deref() {
-                let cm = m.class(part.shard);
-                cm.submitted.inc();
-                cm.admitted.inc();
-                cm.set_queue(sq.pending.len() + 1, sq.pending_keys);
-            }
-            let (reply, rx) = mpsc::channel();
-            sq.pending.push_back(Pending {
-                work: PendingWork::Plain {
-                    keys: part.keys,
-                    reply,
-                },
-                dir,
-                deadline: sub_deadline,
-                enqueued: t0,
-            });
-            subs.push((part.shard, rx));
+            subs.push((shard, rx));
         }
         q.router_sink.set_step(nparts as u32);
         q.router_sink.span(TracePhase::Split, t0, Instant::now());
@@ -719,7 +476,7 @@ impl ShardedService {
         let shared = Arc::clone(&self.shared);
         let metrics = self.metrics.clone();
         let worker = std::thread::spawn(move || {
-            bulk_coordinator(&shared, metrics.as_deref(), dir, subs, &parent_tx);
+            bulk_coordinator(&shared, metrics.as_deref(), lane, dir, subs, &parent_tx);
         });
         self.bulk_workers
             .lock()
@@ -727,7 +484,7 @@ impl ShardedService {
             .push(worker);
         drop(q);
         self.shared.cv.notify_all();
-        Ok(Ticket { rx: parent_rx })
+        Ok(parent_rx)
     }
 
     /// A snapshot of every shard's counters (pool counters as of each
@@ -814,22 +571,52 @@ impl Drop for ShardedService {
     }
 }
 
-/// One shard's sub-reply channel within a bulk scatter.
-type SubReplyRx = mpsc::Receiver<Result<Vec<u32>, SortError>>;
+/// Two-phase scatter, shared by the threaded service and the engine:
+/// admission-check every partition (each check accounting for the ones
+/// before it) before enqueuing any, so a shed leaves no orphaned
+/// sub-requests behind. `queued(shard)` is the shard's queue length and
+/// queued keys.
+fn admit_parts(
+    admissions: &[Admission],
+    parts: &[(usize, Work)],
+    deadline: Duration,
+    queued: impl Fn(usize) -> (usize, usize),
+) -> Result<(), BulkFailure> {
+    let mut extra = vec![(0usize, 0usize); admissions.len()];
+    for (shard, work) in parts {
+        let (len, keys) = queued(*shard);
+        let (extra_len, extra_keys) = &mut extra[*shard];
+        admissions[*shard]
+            .admit(
+                len + *extra_len,
+                keys + *extra_keys,
+                work.key_count(),
+                deadline,
+            )
+            .map_err(|r| BulkFailure {
+                shard: *shard,
+                reason: BulkReason::Shed(r),
+            })?;
+        *extra_len += 1;
+        *extra_keys += work.key_count();
+    }
+    Ok(())
+}
 
 /// Reassemble one bulk request: wait for every per-shard sub-reply, then
-/// k-way merge the sorted partitions into the parent's answer. The first
+/// merge the sorted partitions stably into the parent's answer. The first
 /// failing sub-request fails the parent with a structured
 /// [`BulkFailure`] naming the shard and reason; the surviving partitions
 /// are discarded (their shard stats still settle as their batches run).
 fn bulk_coordinator(
     shared: &SharedShards,
     metrics: Option<&ServiceMetrics>,
+    lane: Lane,
     dir: Direction,
-    subs: Vec<(usize, SubReplyRx)>,
-    parent: &mpsc::Sender<Result<Vec<u32>, SortError>>,
+    subs: Vec<(usize, ReplyRx)>,
+    parent: &ReplyTx,
 ) {
-    let mut parts: Vec<Vec<u32>> = Vec::with_capacity(subs.len());
+    let mut parts = Vec::with_capacity(subs.len());
     let mut failure: Option<BulkFailure> = None;
     for (shard, rx) in subs {
         if failure.is_some() {
@@ -838,7 +625,7 @@ fn bulk_coordinator(
             continue;
         }
         match rx.recv() {
-            Ok(Ok(keys)) => parts.push(keys),
+            Ok(Ok(reply)) => parts.push(reply),
             Ok(Err(e)) => {
                 failure = Some(BulkFailure {
                     shard,
@@ -863,7 +650,7 @@ fn bulk_coordinator(
         }
         None => {
             let m0 = Instant::now();
-            let merged = split::merge_parts(&parts, dir);
+            let merged = split::merge_replies(lane, &parts, dir);
             let m1 = Instant::now();
             {
                 let mut q = shared.q.lock().expect("shard queues lock");
@@ -876,77 +663,6 @@ fn bulk_coordinator(
                     .observe(u64::try_from(m1.duration_since(m0).as_micros()).unwrap_or(u64::MAX));
             }
             Ok(merged)
-        }
-    };
-    let _ = parent.send(reply);
-}
-
-/// [`bulk_coordinator`] for record requests: collect every partition's
-/// [`RecordReply`], then merge keys *and* payload rows stably — key
-/// ties break toward the earlier partition, which together with
-/// [`split::plan_records`]'s ties-left scatter keeps the whole bulk
-/// record sort stable.
-#[allow(clippy::too_many_arguments)]
-fn record_bulk_coordinator<K: Copy + Ord>(
-    shared: &SharedShards,
-    metrics: Option<&ServiceMetrics>,
-    dir: Direction,
-    stride: usize,
-    subs: Vec<(usize, mpsc::Receiver<Result<RecordReply, SortError>>)>,
-    parent: &mpsc::Sender<Result<RecordReply, SortError>>,
-    wrap: impl Fn(Vec<K>) -> RecordKeys,
-    unwrap: impl Fn(RecordKeys) -> Vec<K>,
-) {
-    let mut parts: Vec<(Vec<K>, Vec<u8>)> = Vec::with_capacity(subs.len());
-    let mut failure: Option<BulkFailure> = None;
-    for (shard, rx) in subs {
-        if failure.is_some() {
-            let _ = rx.recv();
-            continue;
-        }
-        match rx.recv() {
-            Ok(Ok(reply)) => parts.push((unwrap(reply.keys), reply.payload)),
-            Ok(Err(e)) => {
-                failure = Some(BulkFailure {
-                    shard,
-                    reason: BulkReason::from_sub_error(&e),
-                });
-            }
-            Err(_) => {
-                failure = Some(BulkFailure {
-                    shard,
-                    reason: BulkReason::Closed,
-                });
-            }
-        }
-    }
-    let reply = match failure {
-        Some(f) => {
-            shared.q.lock().expect("shard queues lock").bulk_failed += 1;
-            if let Some(m) = metrics {
-                m.bulk_failed.inc();
-            }
-            Err(SortError::Bulk(f))
-        }
-        None => {
-            let m0 = Instant::now();
-            let (keys, payload) = split::merge_record_parts(&parts, stride, dir);
-            let m1 = Instant::now();
-            {
-                let mut q = shared.q.lock().expect("shard queues lock");
-                q.bulk_completed += 1;
-                q.router_sink.span(TracePhase::Merge, m0, m1);
-            }
-            if let Some(m) = metrics {
-                m.bulk_completed.inc();
-                m.bulk_merge_us
-                    .observe(u64::try_from(m1.duration_since(m0).as_micros()).unwrap_or(u64::MAX));
-            }
-            Ok(RecordReply {
-                keys: wrap(keys),
-                payload,
-                stride,
-            })
         }
     };
     let _ = parent.send(reply);
@@ -1034,7 +750,12 @@ fn shard_worker(
                             .filter(|(v, _)| *v != me)
                             .filter_map(|(v, sq)| {
                                 sq.pending.front().map(|p| {
-                                    (v, now.duration_since(p.enqueued), p.key_count(), sq.busy)
+                                    (
+                                        v,
+                                        now.duration_since(p.enqueued),
+                                        p.work.key_count(),
+                                        sq.busy,
+                                    )
                                 })
                             })
                             .collect();
@@ -1215,20 +936,9 @@ pub enum EngineEvent {
     },
 }
 
-/// What one engine pending sorts: bare keys or a record request.
-enum EngineWork {
-    Plain(Vec<u32>),
-    Record {
-        keys: RecordKeys,
-        payload: Vec<u8>,
-        stride: usize,
-    },
-}
-
 struct EnginePending {
     id: u64,
-    work: EngineWork,
-    dir: Direction,
+    work: Work,
     deadline: Duration,
     enqueued: Duration,
     /// `(parent id, partition index)` when this pending is one scattered
@@ -1236,32 +946,20 @@ struct EnginePending {
     bulk: Option<(u64, usize)>,
 }
 
-impl EnginePending {
-    fn key_count(&self) -> usize {
-        match &self.work {
-            EngineWork::Plain(keys) => keys.len(),
-            EngineWork::Record { keys, .. } => keys.len(),
-        }
-    }
-
-    fn lane(&self) -> Lane {
-        match &self.work {
-            EngineWork::Plain(_) => Lane::Plain,
-            EngineWork::Record { keys, .. } => match keys {
-                RecordKeys::U32(_) => Lane::Rec32,
-                RecordKeys::U64(_) => Lane::Rec64,
-                RecordKeys::U128(_) => Lane::Rec128,
-            },
-        }
+impl AsRef<Work> for EnginePending {
+    fn as_ref(&self) -> &Work {
+        &self.work
     }
 }
 
 /// One in-flight bulk request inside the engine: completed partitions
 /// accumulate here until the merge (or the first failure).
 struct EngineBulk {
+    lane: Lane,
     dir: Direction,
+    record: bool,
     total: usize,
-    parts: BTreeMap<usize, Vec<u32>>,
+    parts: BTreeMap<usize, RecordReply>,
     failed: bool,
 }
 
@@ -1418,79 +1116,45 @@ impl ShardEngine {
         self.record_replies.get(&id)
     }
 
-    /// Route and admit a record request at the current virtual time,
-    /// returning its id. In-band only — the engine twin replays record
-    /// batches, not record bulk scatters.
-    ///
-    /// # Errors
-    /// The [`Rejection`] naming the limit the request hit.
-    pub fn submit_record(&mut self, request: RecordRequest) -> Result<u64, Rejection> {
-        assert_eq!(
-            request.payload.len(),
-            request.stride * request.keys.len(),
-            "payload must hold exactly stride bytes per key"
-        );
-        let Some(shard) = self.router.route(request.keys.len()) else {
-            return Err(self.router.too_large(request.keys.len()));
-        };
-        let deadline = request
-            .deadline
-            .unwrap_or(self.shards[shard].cfg.default_deadline);
-        let sq = &mut self.shards[shard];
-        self.admissions[shard].admit(
-            sq.queue.len(),
-            sq.queue_keys,
-            request.keys.len(),
-            deadline,
-        )?;
-        let id = self.next_id;
-        self.next_id += 1;
-        sq.queue_keys += request.keys.len();
-        sq.queue.push_back(EnginePending {
-            id,
-            work: EngineWork::Record {
-                keys: request.keys,
-                payload: request.payload,
-                stride: request.stride,
-            },
-            dir: request.dir,
-            deadline,
-            enqueued: self.now,
-            bulk: None,
-        });
-        self.events.push(EngineEvent::Routed { request: id, shard });
-        Ok(id)
-    }
-
     /// Route and admit a request at the current virtual time, returning
-    /// its id.
+    /// its id. Over-band requests take the bulk split path when enabled.
     ///
     /// # Errors
     /// The [`Rejection`] naming the limit the request hit.
     pub fn submit(&mut self, request: SortRequest) -> Result<u64, Rejection> {
-        let Some(shard) = self.router.route(request.keys.len()) else {
+        let (work, deadline) = request.into_work();
+        self.route(work, deadline)
+    }
+
+    /// [`ShardEngine::submit`] for a record request; its reply is read
+    /// with [`ShardEngine::record_reply`].
+    ///
+    /// # Errors
+    /// The [`Rejection`] naming the limit the request hit.
+    ///
+    /// # Panics
+    /// Panics if the payload does not hold exactly `stride` bytes per key.
+    pub fn submit_record(&mut self, request: RecordRequest) -> Result<u64, Rejection> {
+        let (work, deadline) = request.into_work();
+        self.route(work, deadline)
+    }
+
+    fn route(&mut self, work: Work, deadline: Option<Duration>) -> Result<u64, Rejection> {
+        let Some(shard) = self.router.route(work.key_count()) else {
             if self.bulk_cfg.enabled {
-                return self.submit_bulk(request);
+                return self.scatter(work, deadline);
             }
-            return Err(self.router.too_large(request.keys.len()));
+            return Err(self.router.too_large(work.key_count()));
         };
-        let deadline = request
-            .deadline
-            .unwrap_or(self.shards[shard].cfg.default_deadline);
+        let deadline = deadline.unwrap_or(self.shards[shard].cfg.default_deadline);
         let sq = &mut self.shards[shard];
-        self.admissions[shard].admit(
-            sq.queue.len(),
-            sq.queue_keys,
-            request.keys.len(),
-            deadline,
-        )?;
+        self.admissions[shard].admit(sq.queue.len(), sq.queue_keys, work.key_count(), deadline)?;
         let id = self.next_id;
         self.next_id += 1;
-        sq.queue_keys += request.keys.len();
+        sq.queue_keys += work.key_count();
         sq.queue.push_back(EnginePending {
             id,
-            work: EngineWork::Plain(request.keys),
-            dir: request.dir,
+            work,
             deadline,
             enqueued: self.now,
             bulk: None,
@@ -1504,9 +1168,9 @@ impl ShardEngine {
     /// A partition shed at admission fails the parent immediately (its
     /// reply is [`SortError::Bulk`]); the parent id is returned either
     /// way, mirroring the threaded ticket semantics.
-    fn submit_bulk(&mut self, request: SortRequest) -> Result<u64, Rejection> {
-        let plan = split::plan(&request.keys, &self.bands, &self.bulk_cfg);
-        let parent_deadline = request.deadline.unwrap_or_else(|| {
+    fn scatter(&mut self, work: Work, deadline: Option<Duration>) -> Result<u64, Rejection> {
+        let plan = split::scatter(&work, &self.bands, &self.bulk_cfg);
+        let parent_deadline = deadline.unwrap_or_else(|| {
             self.shards
                 .last()
                 .expect("at least one shard")
@@ -1518,85 +1182,72 @@ impl ShardEngine {
         self.next_id += 1;
         self.events.push(EngineEvent::Split {
             request: parent,
-            parts: plan.parts.iter().map(|p| p.shard).collect(),
+            parts: plan.parts.iter().map(|(shard, _)| *shard).collect(),
             samples: plan.samples as u64,
         });
-        // Two-phase scatter, as in the threaded service: check every
-        // partition before enqueuing any.
-        let mut extra_len = vec![0usize; self.shards.len()];
-        let mut extra_keys = vec![0usize; self.shards.len()];
-        let mut refused = None;
-        for part in &plan.parts {
-            let s = &self.shards[part.shard];
-            if let Err(r) = self.admissions[part.shard].admit(
-                s.queue.len() + extra_len[part.shard],
-                s.queue_keys + extra_keys[part.shard],
-                part.keys.len(),
-                sub_deadline,
-            ) {
-                refused = Some(BulkFailure {
-                    shard: part.shard,
-                    reason: BulkReason::Shed(r),
-                });
-                break;
-            }
-            extra_len[part.shard] += 1;
-            extra_keys[part.shard] += part.keys.len();
-        }
-        if let Some(failure) = refused {
+        let shards = &self.shards;
+        let queued = |s: usize| (shards[s].queue.len(), shards[s].queue_keys);
+        if let Err(failure) = admit_parts(&self.admissions, &plan.parts, sub_deadline, queued) {
             self.events.push(EngineEvent::Failed { request: parent });
-            self.replies.insert(parent, Err(SortError::Bulk(failure)));
+            self.answer(parent, work.record, Err(SortError::Bulk(failure)));
             return Ok(parent);
         }
         self.bulk.insert(
             parent,
             EngineBulk {
-                dir: request.dir,
+                lane: work.lane(),
+                dir: work.dir,
+                record: work.record,
                 total: plan.parts.len(),
                 parts: BTreeMap::new(),
                 failed: false,
             },
         );
-        for (idx, part) in plan.parts.into_iter().enumerate() {
+        for (idx, (shard, sub)) in plan.parts.into_iter().enumerate() {
             let id = self.next_id;
             self.next_id += 1;
-            let sq = &mut self.shards[part.shard];
-            sq.queue_keys += part.keys.len();
+            let sq = &mut self.shards[shard];
+            sq.queue_keys += sub.key_count();
             sq.queue.push_back(EnginePending {
                 id,
-                work: EngineWork::Plain(part.keys),
-                dir: request.dir,
+                work: sub,
                 deadline: sub_deadline,
                 enqueued: self.now,
                 bulk: Some((parent, idx)),
             });
-            self.events.push(EngineEvent::Routed {
-                request: id,
-                shard: part.shard,
-            });
+            self.events.push(EngineEvent::Routed { request: id, shard });
         }
         Ok(parent)
     }
 
+    /// File request `id`'s reply under the API it came through.
+    fn answer(&mut self, id: u64, record: bool, reply: Result<RecordReply, SortError>) {
+        if record {
+            self.record_replies.insert(id, reply);
+        } else {
+            self.replies.insert(id, reply.map(RecordReply::into_plain));
+        }
+    }
+
     /// Record one completed bulk partition; when the last one lands, run
     /// the k-way merge and answer the parent.
-    fn bulk_part_done(&mut self, parent: u64, idx: usize, keys: Vec<u32>) {
+    fn bulk_part_done(&mut self, parent: u64, idx: usize, reply: RecordReply) {
         let Some(b) = self.bulk.get_mut(&parent) else {
             return;
         };
         if b.failed {
             return;
         }
-        b.parts.insert(idx, keys);
+        b.parts.insert(idx, reply);
         if b.parts.len() == b.total {
             let b = self.bulk.remove(&parent).expect("entry present");
-            let parts: Vec<Vec<u32>> = b.parts.into_values().collect();
-            let merged = split::merge_parts(&parts, b.dir);
+            let parts: Vec<RecordReply> = b.parts.into_values().collect();
+            let merged = split::merge_replies(b.lane, &parts, b.dir);
             self.events.push(EngineEvent::Merged {
                 request: parent,
-                keys: merged.len() as u64,
+                keys: merged.keys.len() as u64,
             });
-            self.replies.insert(parent, Ok(merged));
+            self.answer(parent, b.record, Ok(merged));
         }
     }
 
@@ -1611,9 +1262,13 @@ impl ShardEngine {
         }
         b.failed = true;
         b.parts.clear();
+        let record = b.record;
         self.events.push(EngineEvent::Failed { request: parent });
-        self.replies
-            .insert(parent, Err(SortError::Bulk(BulkFailure { shard, reason })));
+        self.answer(
+            parent,
+            record,
+            Err(SortError::Bulk(BulkFailure { shard, reason })),
+        );
     }
 
     /// One decision pass at the current virtual time: autoscale every
@@ -1744,7 +1399,8 @@ impl ShardEngine {
             return false;
         }
         let max_batch_keys = self.shards[i].cfg.max_batch_keys;
-        let batch = Self::take_engine_prefix(&mut self.shards[i], max_batch_keys);
+        let s = &mut self.shards[i];
+        let batch = take_prefix(&mut s.queue, &mut s.queue_keys, max_batch_keys);
         self.run_engine_batch(i, batch, None);
         true
     }
@@ -1771,7 +1427,7 @@ impl ShardEngine {
                     (
                         v,
                         now.saturating_sub(p.enqueued),
-                        p.key_count(),
+                        p.work.key_count(),
                         s.machine_free(now).is_none(),
                     )
                 })
@@ -1780,31 +1436,10 @@ impl ShardEngine {
         let Some(victim) = pick_victim(&heads, after, capacity) else {
             return false;
         };
-        let batch = Self::take_engine_prefix(&mut self.shards[victim], capacity);
+        let v = &mut self.shards[victim];
+        let batch = take_prefix(&mut v.queue, &mut v.queue_keys, capacity);
         self.run_engine_batch(thief, batch, Some(victim));
         true
-    }
-
-    /// [`crate::server::take_prefix`] over engine pendings — including
-    /// its single-lane rule: the prefix stops at the first request in a
-    /// different coalescing lane than the head.
-    fn take_engine_prefix(s: &mut EngineShard, max_batch_keys: usize) -> Vec<EnginePending> {
-        let mut batch = Vec::new();
-        let mut keys = 0usize;
-        let mut lane = None;
-        while let Some(front) = s.queue.front() {
-            let k = front.key_count();
-            if !batch.is_empty() && keys + k > max_batch_keys {
-                break;
-            }
-            if *lane.get_or_insert(front.lane()) != front.lane() {
-                break;
-            }
-            keys += k;
-            s.queue_keys -= k;
-            batch.push(s.queue.pop_front().expect("front exists"));
-        }
-        batch
     }
 
     fn run_engine_batch(
@@ -1824,14 +1459,7 @@ impl ShardEngine {
                     waited,
                     deadline: p.deadline,
                 };
-                match p.work {
-                    EngineWork::Plain(_) => {
-                        self.replies.insert(p.id, Err(err));
-                    }
-                    EngineWork::Record { .. } => {
-                        self.record_replies.insert(p.id, Err(err));
-                    }
-                }
+                self.answer(p.id, p.work.record, Err(err));
                 self.events.push(EngineEvent::Expired { request: p.id });
                 if let Some((parent, _)) = p.bulk {
                     self.bulk_part_failed(
@@ -1847,7 +1475,7 @@ impl ShardEngine {
             }
             live.push(p);
         }
-        let keys = live.iter().map(EnginePending::key_count).sum::<usize>() as u64;
+        let keys = live.iter().map(|p| p.work.key_count()).sum::<usize>() as u64;
         self.events.push(EngineEvent::Flushed {
             shard: runner,
             requests,
@@ -1862,129 +1490,30 @@ impl ShardEngine {
             .machine_free(now)
             .expect("caller checked a machine is free");
         s.busy[slot] = now + s.coalescer.cost().predicted_run(keys as usize);
-        match live[0].lane() {
-            Lane::Plain => self.run_engine_plain(runner, &live),
-            Lane::Rec32 => self.run_engine_records::<u128>(
-                runner,
-                &live,
-                |keys| match keys {
-                    RecordKeys::U32(k) => k.iter().copied().map(u64::from).collect(),
-                    _ => unreachable!("single-lane batch"),
-                },
-                |keys| RecordKeys::U32(keys.into_iter().map(|k| k as u32).collect()),
-                WarmPool::run_record128_batch,
-            ),
-            Lane::Rec64 => self.run_engine_records::<u128>(
-                runner,
-                &live,
-                |keys| match keys {
-                    RecordKeys::U64(k) => k.clone(),
-                    _ => unreachable!("single-lane batch"),
-                },
-                RecordKeys::U64,
-                WarmPool::run_record128_batch,
-            ),
-            Lane::Rec128 => self.run_engine_records::<W192>(
-                runner,
-                &live,
-                |keys| match keys {
-                    RecordKeys::U128(k) => k.clone(),
-                    _ => unreachable!("single-lane batch"),
-                },
-                RecordKeys::U128,
-                WarmPool::run_record192_batch,
-            ),
-        }
-    }
-
-    /// The engine's plain batch body: [`TaggedBatch`] encode, run, split.
-    fn run_engine_plain(&mut self, runner: usize, live: &[EnginePending]) {
-        let mut tagged = TaggedBatch::new();
-        for p in live {
-            let EngineWork::Plain(keys) = &p.work else {
-                unreachable!("single-lane batch");
-            };
-            tagged.push(keys, p.dir);
-        }
-        let s = &mut self.shards[runner];
-        let (words, per_rank) = tagged.padded_words(s.cfg.procs);
-        match s.pool.run_batch(words, per_rank) {
-            Ok(sorted) => {
-                for (p, reply) in live.iter().zip(tagged.split(&sorted)) {
-                    self.replies.insert(p.id, Ok(reply.clone()));
+        let (_, result) = run_lane(&mut s.pool, s.cfg.procs, &live);
+        match result {
+            Ok(replies) => {
+                for (p, reply) in live.iter().zip(replies) {
+                    let part = p.bulk.map(|bulk| (bulk, reply.clone()));
+                    self.answer(p.id, p.work.record, Ok(reply));
                     self.events.push(EngineEvent::Completed {
                         request: p.id,
                         shard: runner,
                     });
-                    if let Some((parent, idx)) = p.bulk {
+                    if let Some(((parent, idx), reply)) = part {
                         self.bulk_part_done(parent, idx, reply);
                     }
                 }
             }
             Err(failure) => {
                 let msg = failure.to_string();
-                for p in live {
-                    self.replies
-                        .insert(p.id, Err(SortError::MachineFailed(msg.clone())));
+                for p in &live {
+                    let err = SortError::MachineFailed(msg.clone());
+                    self.answer(p.id, p.work.record, Err(err));
                     self.events.push(EngineEvent::Failed { request: p.id });
                     if let Some((parent, _)) = p.bulk {
                         self.bulk_part_failed(parent, runner, BulkReason::Failed(msg.clone()));
                     }
-                }
-            }
-        }
-    }
-
-    /// The engine's record batch body, generic over the machine word —
-    /// the deterministic twin of `server::run_record_batch`. Record
-    /// pendings are never bulk partitions (the engine's record path is
-    /// in-band only), so there is no bulk bookkeeping here.
-    fn run_engine_records<W: RecordWord>(
-        &mut self,
-        runner: usize,
-        live: &[EnginePending],
-        widen: impl Fn(&RecordKeys) -> Vec<W::Key>,
-        narrow: impl Fn(Vec<W::Key>) -> RecordKeys,
-        run: impl FnOnce(&mut WarmPool, Vec<W>, usize) -> Result<Vec<W>, spmd::MachineFailure>,
-    ) {
-        let mut rec = RecordBatch::<W>::new();
-        for p in live {
-            let EngineWork::Record { keys, .. } = &p.work else {
-                unreachable!("single-lane batch");
-            };
-            rec.push(&widen(keys), p.dir);
-        }
-        let s = &mut self.shards[runner];
-        let (words, per_rank) = rec.padded_words(s.cfg.procs);
-        match run(&mut s.pool, words, per_rank) {
-            Ok(sorted) => {
-                for (p, seg) in live.iter().zip(rec.split(&sorted)) {
-                    let EngineWork::Record {
-                        payload, stride, ..
-                    } = &p.work
-                    else {
-                        unreachable!("single-lane batch");
-                    };
-                    self.record_replies.insert(
-                        p.id,
-                        Ok(RecordReply {
-                            keys: narrow(seg.keys),
-                            payload: gather_rows(payload, *stride, &seg.perm),
-                            stride: *stride,
-                        }),
-                    );
-                    self.events.push(EngineEvent::Completed {
-                        request: p.id,
-                        shard: runner,
-                    });
-                }
-            }
-            Err(failure) => {
-                let msg = failure.to_string();
-                for p in live {
-                    self.record_replies
-                        .insert(p.id, Err(SortError::MachineFailed(msg.clone())));
-                    self.events.push(EngineEvent::Failed { request: p.id });
                 }
             }
         }

@@ -39,9 +39,10 @@
 
 use crate::admission::Rejection;
 use crate::config::BulkConfig;
+use crate::server::{gather_rows, with_word, Lane, LaneWord, RecordReply, Work};
 use bitonic_network::Direction;
-use local_sorts::merge::Run;
-use local_sorts::pway_merge::pway_merge_into;
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::time::Duration;
 
 /// Why a bulk request failed: the shard that sank it and what happened
@@ -120,24 +121,27 @@ impl std::fmt::Display for BulkFailure {
 
 /// One in-band sub-request of a scatter plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SplitPart {
+pub struct SplitPart<K = u32> {
     /// The shard this partition (chunk) is bound for.
     pub shard: usize,
     /// The partition's keys, in input order (the shard sorts them).
-    pub keys: Vec<u32>,
+    pub keys: Vec<K>,
+    /// `rows[i]` is the original request row of `keys[i]`, so payload
+    /// rows can follow their keys.
+    pub rows: Vec<u32>,
 }
 
 /// A complete, deterministic scatter plan for one bulk request.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SplitPlan {
+pub struct SplitPlan<K = u32> {
     /// The `s − 1` chosen splitters, non-decreasing. A key `k` belongs
     /// to the first shard `i` with `k <= splitters[i]` (the last shard
     /// takes everything above the final splitter).
-    pub splitters: Vec<u32>,
+    pub splitters: Vec<K>,
     /// The sub-requests, grouped by shard in shard order. A partition
     /// larger than its shard's band appears as several consecutive
     /// chunks on the same shard; empty partitions are omitted.
-    pub parts: Vec<SplitPart>,
+    pub parts: Vec<SplitPart<K>>,
     /// Keys sampled by the splitter-selection round.
     pub samples: usize,
     /// Per-shard skew: partition size over the capacity-weighted fair
@@ -145,7 +149,7 @@ pub struct SplitPlan {
     pub skew: Vec<f64>,
 }
 
-impl SplitPlan {
+impl<K> SplitPlan<K> {
     /// The largest per-shard skew (the figure the bound constrains).
     #[must_use]
     pub fn max_skew(&self) -> f64 {
@@ -184,16 +188,21 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-/// Build the scatter plan for `keys` over shards whose band capacities
-/// are `bands` (in shard order, strictly increasing — exactly
-/// [`crate::Router::band_capacities`]). Pure: the same
+/// Build the scatter plan for `keys` (of any width) over shards whose
+/// band capacities are `bands` (in shard order, strictly increasing —
+/// exactly [`crate::Router::band_capacities`]). Pure: the same
 /// `(keys, bands, cfg)` always yields the same plan.
+///
+/// Scatter order preserves input order within a bucket, and equal keys
+/// always land in one bucket (ties go left) — chunks of one bucket are
+/// consecutive input slices — so a [`merge`] that breaks key ties by
+/// part order makes the whole bulk sort stable.
 ///
 /// # Panics
 /// Panics if `bands` is empty or `keys` is empty — the caller only
 /// splits requests that exceeded a non-empty band list.
 #[must_use]
-pub fn plan(keys: &[u32], bands: &[usize], cfg: &BulkConfig) -> SplitPlan {
+pub fn plan<K: Copy + Ord>(keys: &[K], bands: &[usize], cfg: &BulkConfig) -> SplitPlan<K> {
     assert!(!bands.is_empty(), "cannot split across zero shards");
     assert!(!keys.is_empty(), "cannot split an empty request");
     let shards = bands.len();
@@ -204,7 +213,7 @@ pub fn plan(keys: &[u32], bands: &[usize], cfg: &BulkConfig) -> SplitPlan {
     let per_splitter = oversample_factor(shards, cfg.skew_bound);
     let want = (per_splitter * shards).min(n);
     let mut state = cfg.seed | 1;
-    let mut sample: Vec<u32> = (0..want)
+    let mut sample: Vec<K> = (0..want)
         .map(|_| keys[(xorshift(&mut state) % n as u64) as usize])
         .collect();
     sample.sort_unstable();
@@ -224,16 +233,17 @@ pub fn plan(keys: &[u32], bands: &[usize], cfg: &BulkConfig) -> SplitPlan {
     // Scatter: each key to the first shard whose splitter admits it.
     // Ties on a splitter all land left of it, which can only shift
     // skew, never order — the merge reassembles any distribution.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); shards];
-    for &k in keys {
-        let shard = splitters.partition_point(|&s| s < k);
-        buckets[shard].push(k);
+    let mut buckets: Vec<(Vec<K>, Vec<u32>)> = vec![(Vec::new(), Vec::new()); shards];
+    for (row, &k) in keys.iter().enumerate() {
+        let bucket = &mut buckets[splitters.partition_point(|&s| s < k)];
+        bucket.0.push(k);
+        bucket.1.push(row as u32);
     }
 
     let skew = buckets
         .iter()
         .zip(bands)
-        .map(|(b, band)| {
+        .map(|((b, _), band)| {
             let share = n as f64 * (*band as f64 / capacity as f64);
             b.len() as f64 / share
         })
@@ -243,14 +253,12 @@ pub fn plan(keys: &[u32], bands: &[usize], cfg: &BulkConfig) -> SplitPlan {
     // sub-requests on the same shard — the degenerate-input safety net
     // that keeps every sub-request admissible.
     let mut parts = Vec::with_capacity(shards);
-    for (shard, bucket) in buckets.into_iter().enumerate() {
-        if bucket.is_empty() {
-            continue;
-        }
-        for chunk in bucket.chunks(bands[shard]) {
+    for (shard, (bucket, rows)) in buckets.into_iter().enumerate() {
+        for (keys, rows) in bucket.chunks(bands[shard]).zip(rows.chunks(bands[shard])) {
             parts.push(SplitPart {
                 shard,
-                keys: chunk.to_vec(),
+                keys: keys.to_vec(),
+                rows: rows.to_vec(),
             });
         }
     }
@@ -263,168 +271,135 @@ pub fn plan(keys: &[u32], bands: &[usize], cfg: &BulkConfig) -> SplitPlan {
     }
 }
 
-/// One in-band sub-request of a record scatter plan: the partition's
-/// keys plus each key's original row index, so the caller can gather
-/// the matching payload rows for the sub-request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordPart<K> {
-    /// The shard this partition (chunk) is bound for.
-    pub shard: usize,
-    /// The partition's keys, in input order.
-    pub keys: Vec<K>,
-    /// `rows[i]` is the original request row of `keys[i]`.
-    pub rows: Vec<u32>,
+/// A run's next key in the merge heap. The heap pops its greatest
+/// element, so `Head` orders by the next key in `dir` order and then by
+/// the earliest part.
+#[derive(PartialEq, Eq)]
+struct Head<K> {
+    key: K,
+    part: usize,
+    dir: Direction,
 }
 
-/// A deterministic scatter plan for one record bulk request — the
-/// record analogue of [`SplitPlan`], generic over the key width.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordSplitPlan<K> {
-    /// The sub-requests, grouped by shard in shard order (chunked and
-    /// filtered exactly like [`SplitPlan::parts`]).
-    pub parts: Vec<RecordPart<K>>,
-    /// Keys sampled by the splitter-selection round.
-    pub samples: usize,
-    /// Per-shard skew, indexed by shard (see [`SplitPlan::skew`]).
-    pub skew: Vec<f64>,
+impl<K: Ord> Ord for Head<K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let by_key = match self.dir {
+            Direction::Ascending => other.key.cmp(&self.key),
+            Direction::Descending => self.key.cmp(&other.key),
+        };
+        by_key.then(other.part.cmp(&self.part))
+    }
 }
 
-/// [`plan`] generalized to record keys of any width: the same sampling
-/// round, capacity-weighted splitters, ties-left scatter, and band
-/// chunking, additionally carrying each key's original row index so
-/// payload rows can follow their keys. Scatter order preserves input
-/// order within a bucket, and equal keys always land in one bucket
-/// (ties go left) — chunks of one bucket are consecutive input slices
-/// — so a merge that breaks key ties by part order is stable overall.
-///
-/// # Panics
-/// Panics if `bands` is empty or `keys` is empty.
+impl<K: Ord> PartialOrd for Head<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Reassemble sorted partitions into one ordered reply: a heap k-way
+/// merge, `O(n log p)`, of runs each sorted in `dir` with `stride`
+/// payload bytes per key in key order (`parts[i] = (keys, rows)`).
+/// Key ties go to the earlier part in both directions, which makes the
+/// whole bulk sort stable given [`plan`]'s scatter; stride 0 copies no
+/// rows. Correct for any partition quality — overlapping ranges
+/// (chunked partitions) merge exactly like disjoint ones.
 #[must_use]
-pub fn plan_records<K: Copy + Ord>(
-    keys: &[K],
-    bands: &[usize],
-    cfg: &BulkConfig,
-) -> RecordSplitPlan<K> {
-    assert!(!bands.is_empty(), "cannot split across zero shards");
-    assert!(!keys.is_empty(), "cannot split an empty request");
-    let shards = bands.len();
-    let n = keys.len();
-    let capacity: usize = bands.iter().sum();
-
-    let per_splitter = oversample_factor(shards, cfg.skew_bound);
-    let want = (per_splitter * shards).min(n);
-    let mut state = cfg.seed | 1;
-    let mut sample: Vec<K> = (0..want)
-        .map(|_| keys[(xorshift(&mut state) % n as u64) as usize])
-        .collect();
-    sample.sort_unstable();
-
-    let mut splitters = Vec::with_capacity(shards - 1);
-    let mut cum = 0usize;
-    for band in &bands[..shards - 1] {
-        cum += band;
-        let q = (cum as f64 / capacity as f64 * sample.len() as f64).round() as usize;
-        splitters.push(sample[q.min(sample.len() - 1)]);
-    }
-
-    let mut buckets: Vec<(Vec<K>, Vec<u32>)> = vec![(Vec::new(), Vec::new()); shards];
-    for (row, &k) in keys.iter().enumerate() {
-        let shard = splitters.partition_point(|&s| s < k);
-        buckets[shard].0.push(k);
-        buckets[shard].1.push(row as u32);
-    }
-
-    let skew = buckets
-        .iter()
-        .zip(bands)
-        .map(|((b, _), band)| {
-            let share = n as f64 * (*band as f64 / capacity as f64);
-            b.len() as f64 / share
-        })
-        .collect();
-
-    let mut parts = Vec::with_capacity(shards);
-    for (shard, (bucket, rows)) in buckets.into_iter().enumerate() {
-        if bucket.is_empty() {
-            continue;
-        }
-        for (chunk, row_chunk) in bucket.chunks(bands[shard]).zip(rows.chunks(bands[shard])) {
-            parts.push(RecordPart {
-                shard,
-                keys: chunk.to_vec(),
-                rows: row_chunk.to_vec(),
-            });
-        }
-    }
-
-    RecordSplitPlan {
-        parts,
-        samples: want,
-        skew,
-    }
-}
-
-/// Reassemble sorted record partitions — `(keys, payload rows)` pairs,
-/// each already sorted in `dir` with payload in key order — into one
-/// merged reply. Key ties break toward the earlier part, which makes
-/// the whole bulk sort stable given [`plan_records`]'s scatter (equal
-/// keys share a bucket and its chunks are input-ordered).
-#[must_use]
-pub fn merge_record_parts<K: Copy + Ord>(
-    parts: &[(Vec<K>, Vec<u8>)],
+pub fn merge<K: Copy + Ord>(
+    parts: &[(&[K], &[u8])],
     stride: usize,
     dir: Direction,
 ) -> (Vec<K>, Vec<u8>) {
     let total: usize = parts.iter().map(|(k, _)| k.len()).sum();
     let mut keys = Vec::with_capacity(total);
-    let mut payload = Vec::with_capacity(total * stride);
-    let mut idx = vec![0usize; parts.len()];
-    for _ in 0..total {
-        let mut best: Option<usize> = None;
-        for (p, (ks, _)) in parts.iter().enumerate() {
-            if idx[p] >= ks.len() {
-                continue;
-            }
-            best = match best {
-                None => Some(p),
-                Some(b) => {
-                    let better = match dir {
-                        Direction::Ascending => ks[idx[p]] < parts[b].0[idx[b]],
-                        Direction::Descending => ks[idx[p]] > parts[b].0[idx[b]],
-                    };
-                    if better {
-                        Some(p)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
+    let mut rows = Vec::with_capacity(total * stride);
+    let mut at = vec![0usize; parts.len()];
+    let mut heap: BinaryHeap<Head<K>> = parts
+        .iter()
+        .enumerate()
+        .filter_map(|(part, (k, _))| k.first().map(|&key| Head { key, part, dir }))
+        .collect();
+    while let Some(mut head) = heap.peek_mut() {
+        let (part, i) = (head.part, at[head.part]);
+        keys.push(head.key);
+        if stride > 0 {
+            rows.extend_from_slice(&parts[part].1[i * stride..(i + 1) * stride]);
         }
-        let p = best.expect("total keys remain");
-        let (ks, rows) = &parts[p];
-        keys.push(ks[idx[p]]);
-        payload.extend_from_slice(&rows[idx[p] * stride..(idx[p] + 1) * stride]);
-        idx[p] += 1;
+        at[part] = i + 1;
+        match parts[part].0.get(i + 1) {
+            Some(&next) => head.key = next,
+            None => {
+                PeekMut::pop(head);
+            }
+        }
     }
-    (keys, payload)
+    (keys, rows)
 }
 
-/// Reassemble sorted partitions into one ordered reply: a k-way merge
-/// of runs each sorted in `dir`, producing `dir` order. Correct for
-/// any partition quality — overlapping ranges (chunked partitions)
-/// merge exactly like disjoint ones, just less cheaply.
+/// [`merge`] for key-only partitions.
 #[must_use]
-pub fn merge_parts(parts: &[Vec<u32>], dir: Direction) -> Vec<u32> {
-    let runs: Vec<Run<'_, u32>> = parts
-        .iter()
-        .map(|p| match dir {
-            Direction::Ascending => Run::asc(p),
-            Direction::Descending => Run::desc(p),
+pub fn merge_parts<K: Copy + Ord>(parts: &[Vec<K>], dir: Direction) -> Vec<K> {
+    let runs: Vec<(&[K], &[u8])> = parts.iter().map(|p| (&p[..], &[][..])).collect();
+    merge(&runs, 0, dir).0
+}
+
+/// One bulk request cut into in-band sub-requests: each `(shard, work)`
+/// part carries its keys at the parent's width and its payload rows.
+pub(crate) struct Scatter {
+    pub(crate) parts: Vec<(usize, Work)>,
+    pub(crate) samples: usize,
+    pub(crate) skew: Vec<f64>,
+}
+
+/// [`plan`] `work` in its lane's key domain and cut it into
+/// sub-requests that inherit its direction, stride and entry point.
+pub(crate) fn scatter(work: &Work, bands: &[usize], cfg: &BulkConfig) -> Scatter {
+    with_word!(work.lane(), W => scatter_as::<W>(work, bands, cfg))
+}
+
+fn scatter_as<W: LaneWord>(work: &Work, bands: &[usize], cfg: &BulkConfig) -> Scatter {
+    let plan = plan(&W::widen(&work.keys), bands, cfg);
+    let parts = plan
+        .parts
+        .into_iter()
+        .map(|p| {
+            let sub = Work {
+                keys: W::narrow(p.keys, &work.keys),
+                payload: gather_rows(&work.payload, work.stride, &p.rows),
+                stride: work.stride,
+                dir: work.dir,
+                record: work.record,
+            };
+            (p.shard, sub)
         })
         .collect();
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    pway_merge_into(&runs, dir, &mut out);
-    out
+    Scatter {
+        parts,
+        samples: plan.samples,
+        skew: plan.skew,
+    }
+}
+
+/// [`merge`] the sorted sub-replies of one `lane` bulk request, in part
+/// order, into the parent's reply.
+pub(crate) fn merge_replies(lane: Lane, parts: &[RecordReply], dir: Direction) -> RecordReply {
+    with_word!(lane, W => merge_as::<W>(parts, dir))
+}
+
+fn merge_as<W: LaneWord>(parts: &[RecordReply], dir: Direction) -> RecordReply {
+    let keys: Vec<_> = parts.iter().map(|r| W::widen(&r.keys)).collect();
+    let runs: Vec<(&[W::Key], &[u8])> = keys
+        .iter()
+        .zip(parts)
+        .map(|(k, r)| (&k[..], &r.payload[..]))
+        .collect();
+    let stride = parts[0].stride;
+    let (merged, payload) = merge(&runs, stride, dir);
+    RecordReply {
+        keys: W::narrow(merged, &parts[0].keys),
+        payload,
+        stride,
+    }
 }
 
 #[cfg(test)]
@@ -525,7 +500,7 @@ mod tests {
         // Duplicate-heavy u64 keys, payload row = the original index.
         let keys: Vec<u64> = (0..1_000u64).map(|i| (i * 7) % 16).collect();
         let bands = [64, 256];
-        let p = plan_records(&keys, &bands, &cfg());
+        let p = plan(&keys, &bands, &cfg());
         let total: usize = p.parts.iter().map(|x| x.keys.len()).sum();
         assert_eq!(total, keys.len());
         for part in &p.parts {
@@ -551,7 +526,8 @@ mod tests {
                     (seg.keys, payload)
                 })
                 .collect();
-            let (got_keys, got_payload) = merge_record_parts(&sorted, 4, dir);
+            let runs: Vec<(&[u64], &[u8])> = sorted.iter().map(|(k, r)| (&k[..], &r[..])).collect();
+            let (got_keys, got_payload) = merge(&runs, 4, dir);
             let oracle = records_sorted_independently(&keys, dir);
             assert_eq!(got_keys, oracle.keys);
             let got_rows: Vec<u32> = got_payload

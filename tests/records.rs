@@ -24,16 +24,22 @@
 //!    [`ShardedService`];
 //! 5. determinism — the [`ShardEngine`] twin replays a mixed record
 //!    script bit-for-bit: identical decision logs and identical record
-//!    replies, with fewer flushes than requests (coalescing is real).
+//!    replies, with fewer flushes than requests (coalescing is real) —
+//!    and replays over-band record scatters and merges the same way;
+//! 6. lane equivalence — a plain u32 sort and a u32 stride-0 record are
+//!    the same request: identical replies on every service and through
+//!    the bulk path, and they coalesce into one batch (as do u32 records
+//!    with payload and u64 records, which share the 128-bit word).
 
 use bitonic_core::tagged::records_sorted_independently;
 use bitonic_network::Direction;
 use obs::TraceConfig;
+use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use proptest::record::{dup_heavy_record_cases, record_cases, RecordCase};
 use sort_service::{
     BulkConfig, ClassConfig, EngineEvent, RecordKeys, RecordReply, RecordRequest, ServiceConfig,
-    ShardEngine, ShardedConfig, ShardedService, SortService,
+    ShardEngine, ShardedConfig, ShardedService, SortRequest, SortService,
 };
 use std::time::Duration;
 
@@ -425,5 +431,196 @@ fn the_engine_twin_replays_record_batches_bit_for_bit() {
             replay.record_reply(replay_id.1),
             "record replies must replay bit-for-bit"
         );
+    }
+}
+
+/// Over-band record requests against a bulk-enabled engine: every
+/// width, with and without payload, both directions, duplicate-heavy so
+/// ties straddle partitions.
+fn record_bulk_script(engine: &mut ShardEngine) -> Vec<(RecordCase, u64)> {
+    let mut out = Vec::new();
+    for (i, &(width, stride)) in [(4u8, 0usize), (4, 3), (8, 0), (8, 4), (16, 2)]
+        .iter()
+        .enumerate()
+    {
+        let max = if width == 16 {
+            u128::MAX
+        } else {
+            (1u128 << (8 * u32::from(width))) - 1
+        };
+        let n = 600 + 37 * i;
+        let keys: Vec<u128> = (0..n as u64)
+            .map(|k| u128::from(k.wrapping_mul(2_654_435_761).rotate_left(7) % 12) * (max / 11))
+            .collect();
+        let payload: Vec<u8> = (0..n * stride).map(|b| (b % 253) as u8).collect();
+        let case = RecordCase {
+            width,
+            keys,
+            stride,
+            payload,
+            descending: i % 2 == 0,
+        };
+        let id = engine.submit_record(request_of(&case)).expect("scattered");
+        out.push((case, id));
+        engine.advance(Duration::from_millis(1));
+        engine.tick();
+    }
+    engine.run_until_idle();
+    out
+}
+
+/// The engine twin takes over-band record requests through the same
+/// scatter the threaded service uses: every reply matches the stable
+/// oracle, payload included, and a fresh engine replays the scatters,
+/// batches and merges bit for bit.
+#[test]
+fn the_engine_twin_replays_record_bulk_scatters_bit_for_bit() {
+    let cfg = bulk_config();
+    let mut engine = ShardEngine::new(&cfg);
+    let script = record_bulk_script(&mut engine);
+    for (case, id) in &script {
+        let reply = engine
+            .record_reply(*id)
+            .expect("merged")
+            .as_ref()
+            .expect("sorted");
+        assert_matches_oracle(case, reply);
+    }
+    let count = |f: fn(&EngineEvent) -> bool| engine.events().iter().filter(|e| f(e)).count();
+    assert_eq!(
+        count(|e| matches!(e, EngineEvent::Split { .. })),
+        script.len()
+    );
+    assert_eq!(
+        count(|e| matches!(e, EngineEvent::Merged { .. })),
+        script.len()
+    );
+
+    let mut replay = ShardEngine::new(&cfg);
+    let replayed = record_bulk_script(&mut replay);
+    assert_eq!(
+        engine.events(),
+        replay.events(),
+        "the decision log must replay exactly"
+    );
+    for ((_, id), (_, replay_id)) in script.iter().zip(&replayed) {
+        assert_eq!(engine.record_reply(*id), replay.record_reply(*replay_id));
+    }
+}
+
+// ---------------------------------------------------------------------
+// 6. Lane equivalence: a plain sort is the u32 stride-0 record.
+// ---------------------------------------------------------------------
+
+fn stride0_u32(keys: &[u32], dir: Direction) -> RecordRequest {
+    RecordRequest::new(RecordKeys::U32(keys.to_vec()), Vec::new(), 0, dir)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `submit(SortRequest)` and `submit_record(U32, stride 0)` return
+    /// identical keys on the single pool, on the sharded service, and for
+    /// an over-band request through the bulk path.
+    #[test]
+    fn plain_and_stride0_u32_records_reply_identically(
+        keys in pvec(any::<u32>(), 0..200),
+        bulk in pvec(0u32..1_000, 300..700),
+        desc: bool,
+    ) {
+        let dir = if desc { Direction::Descending } else { Direction::Ascending };
+        let single = SortService::start(ServiceConfig::new(2));
+        let plain = single.submit(SortRequest::new(keys.clone(), dir)).expect("admitted");
+        let record = single.submit_record(stride0_u32(&keys, dir)).expect("admitted");
+        let plain = plain.wait().expect("sorted");
+        prop_assert_eq!(record.wait().expect("sorted").keys, RecordKeys::U32(plain.clone()));
+        let _ = single.shutdown();
+
+        let sharded = ShardedService::start(bulk_config());
+        for keys in [&keys, &bulk] {
+            let record = sharded.submit_record(stride0_u32(keys, dir)).expect("admitted");
+            let got = sharded.submit(SortRequest::new(keys.clone(), dir)).expect("admitted");
+            let got = got.wait().expect("sorted");
+            prop_assert_eq!(&got, &plain_oracle(keys, dir));
+            prop_assert_eq!(record.wait().expect("sorted").keys, RecordKeys::U32(got));
+        }
+        let report = sharded.shutdown();
+        prop_assert_eq!(report.stats.bulk_completed, 2);
+    }
+}
+
+fn plain_oracle(keys: &[u32], dir: Direction) -> Vec<u32> {
+    bitonic_core::tagged::sorted_independently(keys, dir)
+}
+
+/// Requests share a batch exactly when they share a word shape: a u32
+/// stride-0 record coalesces with a plain request (both `u64` words),
+/// and a u32 record with payload coalesces with a u64 record (both
+/// `u128` words).
+#[test]
+fn requests_coalesce_by_word_shape_not_entry_point() {
+    let mut cfg = ServiceConfig::new(2);
+    // A window long enough that both submissions are queued before the
+    // dispatcher flushes.
+    cfg.max_wait = Duration::from_secs(1);
+    let service = SortService::start(cfg);
+
+    let plain = service
+        .submit(SortRequest::ascending(vec![3, 1, 2]))
+        .expect("admitted");
+    let record = service
+        .submit_record(stride0_u32(&[9, 7, 8], Direction::Descending))
+        .expect("admitted");
+    assert_eq!(plain.wait().expect("sorted"), vec![1, 2, 3]);
+    assert_eq!(
+        record.wait().expect("sorted").keys,
+        RecordKeys::U32(vec![9, 8, 7])
+    );
+    assert_eq!(
+        settled(&service, 2).batches,
+        1,
+        "u64-word requests share a batch"
+    );
+
+    let narrow = service
+        .submit_record(RecordRequest::new(
+            RecordKeys::U32(vec![5, 4]),
+            vec![0xA, 0xB],
+            1,
+            Direction::Ascending,
+        ))
+        .expect("admitted");
+    let wide = service
+        .submit_record(RecordRequest::new(
+            RecordKeys::U64(vec![u64::MAX, 0]),
+            vec![1, 1, 2, 2],
+            2,
+            Direction::Ascending,
+        ))
+        .expect("admitted");
+    let narrow = narrow.wait().expect("sorted");
+    assert_eq!(narrow.keys, RecordKeys::U32(vec![4, 5]));
+    assert_eq!(narrow.payload, vec![0xB, 0xA]);
+    let wide = wide.wait().expect("sorted");
+    assert_eq!(wide.keys, RecordKeys::U64(vec![0, u64::MAX]));
+    assert_eq!(wide.payload, vec![2, 2, 1, 1]);
+    assert_eq!(
+        settled(&service, 4).batches,
+        2,
+        "u128-word requests share a batch"
+    );
+    let _ = service.shutdown();
+}
+
+/// The service's counters once `completed` requests are accounted (the
+/// dispatcher settles a batch's counters just after its replies).
+fn settled(service: &SortService, completed: u64) -> sort_service::ServiceStats {
+    let start = std::time::Instant::now();
+    loop {
+        let stats = service.stats();
+        if stats.completed >= completed || start.elapsed() > Duration::from_secs(5) {
+            return stats;
+        }
+        std::thread::sleep(Duration::from_millis(1));
     }
 }

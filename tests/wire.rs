@@ -28,7 +28,8 @@ use proptest::prelude::*;
 use sort_service::net::chaos::{self, ConnFault};
 use sort_service::net::{
     parse_text_request, FrameError, ReplyFrame, RequestFrame, WireClient, WireConfig, WireServer,
-    DISCONNECT_LABELS, LEN_PREFIX, REJECTION_LABELS, REQUEST_HEADER, SUPPORTED_WIDTHS, VERSION,
+    DISCONNECT_LABELS, LEN_PREFIX, MAGIC, REJECTION_LABELS, REPLY_HEADER, REQUEST_HEADER,
+    SUPPORTED_WIDTHS, VERSION,
 };
 use sort_service::{BulkConfig, ClassConfig, RecordKeys, Rejection, ServiceConfig, ShardedConfig};
 use std::io::Write;
@@ -165,6 +166,89 @@ proptest! {
         }
         if let Err(e) = ReplyFrame::decode(&payload) {
             prop_assert_eq!(FrameError::label_of_code(e.code()), e.label());
+        }
+    }
+}
+
+/// A header figure that is either arbitrary or sits right at an
+/// overflow boundary of `count * width` / `count * stride`.
+fn header_figure() -> impl Strategy<Value = u64> {
+    (0u8..6, any::<u64>()).prop_map(|(pick, x)| match pick {
+        0 => x % 64,
+        1 => x,
+        2 => 1 << 62,
+        3 => u64::MAX / 4 + 1,
+        4 => u64::MAX / 16 + 1,
+        _ => u64::MAX,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile reply headers — any status, width and `a`/`b` figures,
+    /// any body — never panic the decoder (overflow included, in debug
+    /// builds), and a frame that decodes carries exactly the count its
+    /// header declares.
+    #[test]
+    fn hostile_reply_headers_never_panic_or_misstate_the_count(
+        status in 0u8..13,
+        width in (0u8..4, any::<u8>()).prop_map(|(i, w)| [4, 8, 16, w][usize::from(i)]),
+        a in header_figure(),
+        b in header_figure(),
+        body in pvec(any::<u8>(), 0..64),
+    ) {
+        let mut frame = Vec::with_capacity(REPLY_HEADER + body.len());
+        frame.extend_from_slice(&MAGIC);
+        frame.extend_from_slice(&[VERSION, status, width, 0]);
+        frame.extend_from_slice(&a.to_le_bytes());
+        frame.extend_from_slice(&b.to_le_bytes());
+        frame.extend_from_slice(&body);
+        match ReplyFrame::decode(&frame) {
+            Ok(ReplyFrame::Sorted(keys)) => prop_assert_eq!(keys.len() as u64, a),
+            Ok(ReplyFrame::Record { keys, payload, stride }) => {
+                prop_assert_eq!(keys.len() as u64, a);
+                prop_assert_eq!(u64::from(stride), b);
+                prop_assert_eq!(payload.len(), keys.len() * stride as usize);
+            }
+            Ok(ReplyFrame::Failed(_)) => prop_assert_eq!(body.len() as u64, a),
+            Ok(ReplyFrame::BulkFailed { .. }) => prop_assert_eq!(body.len() as u64, b),
+            Ok(_) | Err(_) => {}
+        }
+    }
+
+    /// The request-side twin: any flags, width, count and stride, any
+    /// body — no panic, and a decoded frame's count and payload match
+    /// its header.
+    #[test]
+    fn hostile_request_headers_never_panic_or_misstate_the_count(
+        flags in 0u8..4,
+        width in (0u8..6, any::<u8>()).prop_map(|(i, w)| [1, 2, 4, 8, 16, w][usize::from(i)]),
+        count: u32,
+        stride: u32,
+        small_count in 0u32..8,
+        body in pvec(any::<u8>(), 0..64),
+    ) {
+        for count in [count, small_count] {
+            for stride_word in [None, Some(stride)] {
+                let mut frame = Vec::with_capacity(REQUEST_HEADER + 4 + body.len());
+                frame.extend_from_slice(&MAGIC);
+                frame.extend_from_slice(&[VERSION, flags, width, 0]);
+                frame.extend_from_slice(&0u64.to_le_bytes());
+                frame.extend_from_slice(&count.to_le_bytes());
+                if let Some(stride) = stride_word {
+                    frame.extend_from_slice(&vec![0u8; count.min(8) as usize * usize::from(width)]);
+                    frame.extend_from_slice(&stride.to_le_bytes());
+                }
+                frame.extend_from_slice(&body);
+                if let Ok(req) = RequestFrame::decode(&frame) {
+                    prop_assert_eq!(req.count() as u64, u64::from(count));
+                    prop_assert_eq!(
+                        req.payload.len() as u64,
+                        u64::from(count) * u64::from(req.payload_stride)
+                    );
+                }
+            }
         }
     }
 }
